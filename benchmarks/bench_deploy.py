@@ -97,7 +97,7 @@ def bench_hot_swaps() -> dict:
     )
     gateway = ServingGateway(
         service,
-        GatewayConfig(max_wait_ms=2.0, deadline_ms=2000.0),
+        GatewayConfig(deadline_ms=2000.0),
         deployment=manager,
     )
 

@@ -61,7 +61,6 @@ CONCURRENCY_LEVELS = (4, 16, 32)
 REQUESTS_PER_WORKER = 20 if FAST else 40
 LIVE_SESSIONS = 64
 TOP_K = 10
-MAX_WAIT_MS = 0.5  # low-latency batching window
 
 # Retrieval cell: catalogue sizes no trainable dataset here reaches.
 RETRIEVAL_ITEMS = 200_000 if FAST else 1_000_000
@@ -150,7 +149,7 @@ def bench_modes(service) -> dict:
     out: dict[str, dict] = {}
     for workers in CONCURRENCY_LEVELS:
         batcher = MicroBatcher(
-            service, max_batch_size=64, max_wait_ms=MAX_WAIT_MS, max_queue_depth=1024, lock=service_lock
+            service, max_batch_size=64, max_queue_depth=1024, lock=service_lock
         ).start()
         try:
             batched = _drive(workers, lambda sid: batcher.submit(sid, k=TOP_K).result(timeout=30))
@@ -178,7 +177,7 @@ def bench_gateway(dataset, service) -> dict:
     """One HTTP load-generator run against the full gateway stack."""
     gateway = ServingGateway(
         service,
-        GatewayConfig(max_batch_size=64, max_wait_ms=MAX_WAIT_MS, deadline_ms=1000.0),
+        GatewayConfig(max_batch_size=64, deadline_ms=1000.0),
         fallback=PopularityFallback(dataset),
     )
     items = [dataset.vocab.decode(d) for d in range(1, min(50, dataset.num_items) + 1)]

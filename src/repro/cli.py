@@ -278,7 +278,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--max-batch-size", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=5.0)
     p.add_argument("--deadline-ms", type=float, default=250.0)
     p.add_argument("--duration", type=float, default=0.0, help="seconds to serve (0 = until Ctrl-C)")
     p.add_argument(
@@ -743,7 +742,6 @@ def _cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         deadline_ms=args.deadline_ms,
     )
     if args.artifact:

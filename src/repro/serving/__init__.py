@@ -4,7 +4,7 @@
 this package wraps it in the machinery a real deployment needs:
 
 * :mod:`~repro.serving.batcher` — coalesce concurrent requests into one
-  model call (size-or-timeout micro-batching);
+  model call (work-conserving micro-batching: no timer);
 * :mod:`~repro.serving.cache` — generation-aware TTL cache of rankings,
   invalidated the moment a session ingests a new event;
 * :mod:`~repro.serving.admission` — bounded-queue load shedding,

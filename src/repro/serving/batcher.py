@@ -5,11 +5,12 @@ size B than at batch size 1 (one NumPy forward amortizes all Python/op
 overhead across B sessions), so the gateway never calls the model
 per-request. Handler threads :meth:`~MicroBatcher.submit` requests into a
 bounded queue and block on a :class:`BatchFuture`; a single scorer thread
-drains the queue into batches, flushing when either ``max_batch_size``
-requests are waiting or the oldest request has waited ``max_wait_ms``
-(the classic size-or-timeout trigger pair). A full queue rejects
-immediately with :class:`QueueFullError` — backpressure for the admission
-layer to convert into HTTP 429s.
+blocks for the first request, takes whatever else is *already* queued (up
+to ``max_batch_size``), scores, and repeats. The trigger is
+work-conserving: a batch is the arrivals of the previous flush, never the
+product of a timer, so an idle scorer serves a lone request at once. A
+full queue rejects immediately with :class:`QueueFullError` — backpressure
+for the admission layer to convert into HTTP 429s.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ class _Request:
 
 
 class MicroBatcher:
-    """Size-or-timeout request coalescer in front of ``top_k_batch``.
+    """Work-conserving request coalescer in front of ``top_k_batch``.
 
     Parameters
     ----------
@@ -80,10 +81,7 @@ class MicroBatcher:
         Anything exposing ``top_k_batch(session_ids, k, exclude_seen)`` —
         normally a :class:`~repro.serve.RecommenderService`.
     max_batch_size:
-        Flush as soon as this many requests are collected.
-    max_wait_ms:
-        Flush at most this long after the first request of a batch arrived;
-        bounds the latency cost of coalescing.
+        Most requests one flush takes from the backlog.
     max_queue_depth:
         Bound on requests waiting to be batched; beyond it ``submit``
         raises :class:`QueueFullError`.
@@ -104,7 +102,6 @@ class MicroBatcher:
         self,
         service,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue_depth: int = 256,
         registry: MetricsRegistry | None = None,
         lock: threading.Lock | None = None,
@@ -114,7 +111,6 @@ class MicroBatcher:
             raise ValueError("max_batch_size must be positive")
         self.service = service
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.caller = caller
         self.lock = lock or threading.Lock()
         self._queue: queue.Queue[_Request | None] = queue.Queue(maxsize=max_queue_depth)
@@ -167,21 +163,17 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _collect(self) -> list[_Request] | None:
-        """Block for a first request, then gather until size/timeout; None = stop."""
+        """Block for a first request, then drain the backlog; None = stop."""
         first = self._queue.get()
         if first is None:
             return None
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_ms / 1000.0
         while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
             try:
-                nxt = self._queue.get(timeout=remaining)
+                nxt = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if nxt is None:  # stop requested mid-gather: flush, then exit
+            if nxt is None:  # stop requested mid-drain: flush, then exit
                 self._queue.put(None)
                 break
             batch.append(nxt)

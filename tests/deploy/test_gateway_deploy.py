@@ -50,7 +50,7 @@ def stack(artifact_path, tmp_path):
         ),
         incumbent_path=str(artifact_path),
     )
-    gateway = ServingGateway(service, GatewayConfig(max_wait_ms=2.0), deployment=manager)
+    gateway = ServingGateway(service, GatewayConfig(), deployment=manager)
     gateway.batcher.start()
     try:
         yield gateway, manager, store
@@ -82,7 +82,7 @@ def follow_recommendations(gateway, manager, rounds, sessions=6):
 class TestAdminPlane:
     def test_gateway_without_deployment_refuses(self, artifact_path):
         service = RecommenderService.from_artifact(artifact_path)
-        gateway = ServingGateway(service, GatewayConfig(max_wait_ms=2.0))
+        gateway = ServingGateway(service, GatewayConfig())
         with pytest.raises(DeploymentError):
             gateway.deploy_status()
         with pytest.raises(DeploymentError):
@@ -211,7 +211,7 @@ class TestShadowDecisions:
                 incumbent_path=str(artifact_path),
             )
             gateway = ServingGateway(
-                service, GatewayConfig(max_wait_ms=2.0), deployment=manager
+                service, GatewayConfig(), deployment=manager
             )
             gateway.batcher.start()
             try:

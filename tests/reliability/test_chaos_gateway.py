@@ -45,7 +45,6 @@ def make_gateway(dataset, **config_kwargs) -> ServingGateway:
     service = RecommenderService(
         EchoLast(dataset.num_items), dataset.vocab, num_ops=dataset.num_operations
     )
-    config_kwargs.setdefault("max_wait_ms", 2.0)
     config_kwargs.setdefault("retry_backoff_ms", 1.0)
     return ServingGateway(
         service, GatewayConfig(**config_kwargs), fallback=PopularityFallback(dataset)

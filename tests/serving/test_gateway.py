@@ -54,7 +54,7 @@ def make_gateway(dataset, **config_kwargs) -> ServingGateway:
     )
     return ServingGateway(
         service,
-        GatewayConfig(max_wait_ms=2.0, **config_kwargs),
+        GatewayConfig(**config_kwargs),
         fallback=PopularityFallback(dataset),
     )
 
