@@ -51,6 +51,24 @@ def test_perf_gru_sequence(benchmark, rng):
     benchmark(step)
 
 
+def test_perf_gru_sequence_op_encoder_shape(benchmark, rng):
+    """The block EMBSR's operation encoder runs: [B * N, 6, D], ~43 % of the
+    rows real macro items with short operation runs, ~17 % of cells valid —
+    the all-ones mask above is the one case where skipping padding cannot help."""
+    rows, steps = B * N, 6
+    gru = nn.GRU(D, D, rng=rng)
+    x = Tensor(rng.normal(size=(rows, steps, D)))
+    lengths = np.where(rng.random(rows) < 0.43, np.minimum(rng.geometric(0.42, size=rows), steps), 0)
+    mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(float)
+
+    def step():
+        gru.zero_grad()
+        _, final = gru(x, mask)
+        final.sum().backward()
+
+    benchmark(step)
+
+
 def test_perf_operation_aware_attention(benchmark, rng):
     from repro.core import OperationAwareSelfAttention
 

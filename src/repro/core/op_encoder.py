@@ -20,8 +20,10 @@ __all__ = ["MicroOpEncoder"]
 class MicroOpEncoder(Module):
     """GRU over each macro step's operation sequence.
 
-    Shares the operation embedding matrix ``M^O`` with the attention layer
-    (passed in, not owned).
+    The operation embedding table is passed in, not owned. By default it is
+    the encoder's own table (``EMBSR.gru_op_embedding``); only with
+    ``EMBSRConfig.tie_op_embeddings=True`` is it the paper's single ``M^O``
+    shared with the attention layer.
     """
 
     def __init__(self, dim: int, *, rng: np.random.Generator):
@@ -35,7 +37,7 @@ class MicroOpEncoder(Module):
         Parameters
         ----------
         op_embedding:
-            The shared ``M^O`` table (shifted ids; row 0 = padding).
+            The operation table (shifted ids; row 0 = padding).
         ops:
             [B, n, k] shifted operation ids.
         op_mask:

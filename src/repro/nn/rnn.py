@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, stack
+from ..compile import tape as _tape
 from ..perf import fused as _fused
 from .init import scaled_uniform, zeros
 from .module import Module, Parameter
@@ -47,13 +48,17 @@ class GRU(Module):
     """GRU over a padded batch of sequences with an explicit validity mask.
 
     Padded steps leave the hidden state unchanged, so the final hidden state
-    equals the state after the last *valid* step of each sequence.
+    equals the state after the last *valid* step of each sequence. A mask
+    entry is valid when it is non-zero, whatever its dtype or value.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, *, rng: np.random.Generator):
         super().__init__()
         self.cell = GRUCell(input_dim, hidden_dim, rng=rng)
         self.hidden_dim = hidden_dim
+
+    def _zero_state(self, x: Tensor) -> Tensor:
+        return Tensor(np.zeros((x.shape[0], self.hidden_dim), dtype=x.data.dtype))
 
     def forward(
         self,
@@ -66,7 +71,9 @@ class GRU(Module):
         Parameters
         ----------
         mask:
-            Optional [B, T] array of {0, 1}; 0 marks padding.
+            Optional [B, T] array of any dtype; 0 marks padding and every
+            non-zero value a valid step (normalised here, once, for both the
+            fused and the composed path).
         h0:
             Optional initial state [B, hidden_dim]; zeros by default.
 
@@ -74,7 +81,15 @@ class GRU(Module):
         -------
         (outputs, final_state):
             ``outputs`` is [B, T, hidden_dim], ``final_state`` is [B, hidden_dim].
+            With T = 0 no step changes the state: ``final_state`` is ``h0``.
         """
+        batch, steps, _ = x.shape
+        if steps == 0:  # no step, so no state change: outputs are empty
+            empty = Tensor(np.zeros((batch, 0, self.hidden_dim), dtype=x.data.dtype))
+            return empty, h0 if h0 is not None else self._zero_state(x)
+        if mask is not None:
+            raw_mask = mask
+            mask = _tape.host_array(lambda: raw_mask != 0)
         if _fused.fusion_enabled():
             cell = self.cell
             outputs = _fused.gru_sequence(
@@ -83,8 +98,7 @@ class GRU(Module):
             # Padded steps carry the state forward, so the last column IS the
             # final state even for sequences that end before step T.
             return outputs, outputs[:, -1, :]
-        batch, steps, _ = x.shape
-        h = h0 if h0 is not None else Tensor(np.zeros((batch, self.hidden_dim), dtype=x.data.dtype))
+        h = h0 if h0 is not None else self._zero_state(x)
         outputs = []
         for t in range(steps):
             x_t = x[:, t, :]

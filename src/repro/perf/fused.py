@@ -250,77 +250,104 @@ def gru_sequence(
     carry the state unchanged, ``outputs[:, -1]`` is the final state (this
     is what :class:`repro.nn.GRU` returns as ``final_state``).
 
-    The backward pass replays the T steps in reverse, accumulating the
-    weight gradients in place into four preallocated buffers — the
-    allocation count is O(1) in T instead of O(T * ops_per_step).
+    ``mask`` is [B, T] of any dtype: non-zero marks a valid step, nothing
+    else about the value is used. Per step only the valid rows go through
+    the gate arithmetic, forward and backward, while every GEMM and bias
+    sum keeps its full height B on two zero-padded [B, 3d] workspaces that
+    all T steps of both passes share. BLAS picks its kernel by operand
+    shape, so dropping rows from a GEMM would change result bits
+    (``docs/performance.md``); dropping them from elementwise work cannot.
     """
     B, T, _ = x.data.shape
     d = w_hh.data.shape[0]
-    x_data = x.data
-    w_ih_d, w_hh_d, b_ih_d, b_hh_d = w_ih.data, w_hh.data, b_ih.data, b_hh.data
-    h_prev = h0.data if h0 is not None else np.zeros((B, d), dtype=x_data.dtype)
-    h0_data = h_prev
+    dtype = x.data.dtype
+    h_zero = np.zeros((B, d), dtype=dtype) if h0 is None else None
+    out_data = np.empty((B, T, d), dtype=dtype)
+    gi = np.empty((B, 3 * d), dtype=dtype)
+    gh = np.empty_like(gi)
+    # Per step (rows, zr, n, gh_n) of the valid rows; None when there are none.
+    steps: list = [None] * T
+    every = slice(None)  # ``rows`` of a step where all B rows are valid
 
-    out_data = np.empty((B, T, d), dtype=x_data.dtype)
-    zs = np.empty((T, B, d), dtype=x_data.dtype)
-    rs = np.empty_like(zs)
-    ns = np.empty_like(zs)
-    gh_ns = np.empty_like(zs)
-    m_cols = None
-    if mask is not None:
-        m_cols = mask.astype(x_data.dtype)[..., None]  # [B, T, 1]
+    def run_forward() -> None:
+        # Reads ``.data`` and ``mask`` at call time: it is also the tape's
+        # replay slot, and optimizers rebind parameter arrays.
+        x_data = x.data
+        w_ih_d, w_hh_d, b_ih_d, b_hh_d = w_ih.data, w_hh.data, b_ih.data, b_hh.data
+        h_prev = h0.data if h0 is not None else h_zero
+        for t in range(T):
+            rows = every if mask is None else np.flatnonzero(mask[:, t])
+            if rows is not every and rows.size == B:
+                rows = every
+            out_data[:, t] = h_prev
+            steps[t] = None
+            if rows is every or rows.size:
+                a = np.matmul(x_data[:, t], w_ih_d, out=gi)[rows]
+                b = np.matmul(h_prev, w_hh_d, out=gh)[rows]
+                a += b_ih_d
+                b += b_hh_d
+                zr = _stable_sigmoid(a[:, : 2 * d] + b[:, : 2 * d])
+                z, r = zr[:, :d], zr[:, d:]
+                # An index array copied the rows; ``every`` is a view of the
+                # workspace, which the next step overwrites.
+                gh_n = b[:, 2 * d :].copy() if rows is every else b[:, 2 * d :]
+                n = np.tanh(a[:, 2 * d :] + r * gh_n)
+                out_data[rows, t] = (1.0 - z) * n + z * h_prev[rows]
+                steps[t] = (rows, zr, n, gh_n)
+            h_prev = out_data[:, t]
 
-    for t in range(T):
-        h_new, z, r, n, gh_n = _gru_forward_step(
-            x_data[:, t, :], h_prev, w_ih_d, w_hh_d, b_ih_d, b_hh_d, d
-        )
-        if m_cols is not None:
-            m = m_cols[:, t, :]
-            h_prev = m * h_new + (1.0 - m) * h_prev
-        else:
-            h_prev = h_new
-        out_data[:, t, :] = h_prev
-        zs[t], rs[t], ns[t], gh_ns[t] = z, r, n, gh_n
-
+    run_forward()
     if not _tracking(x, h0, w_ih, w_hh, b_ih, b_hh):
         return Tensor(out_data)
 
     def backward() -> None:
-        # Re-read parameter/input arrays at call time — optimizers rebind
-        # ``p.data``, and a replayed tape reuses this closure across steps.
         x_data = x.data
         w_ih_d, w_hh_d = w_ih.data, w_hh.data
-        h_first = h0.data if h0 is not None else h0_data
         g_out = out.grad  # [B, T, d]
-        need_w = w_ih.requires_grad or w_hh.requires_grad
-        need_b = b_ih.requires_grad or b_hh.requires_grad
         d_w_ih = np.zeros_like(w_ih_d) if w_ih.requires_grad else None
         d_w_hh = np.zeros_like(w_hh_d) if w_hh.requires_grad else None
         d_b_ih = np.zeros_like(b_ih.data) if b_ih.requires_grad else None
         d_b_hh = np.zeros_like(b_hh.data) if b_hh.requires_grad else None
-        d_x = np.empty_like(x_data) if x.requires_grad else None
-        dh = np.zeros((B, d), dtype=x_data.dtype)
+        d_x = np.zeros_like(x_data) if x.requires_grad else None
+        d_x_t = np.empty((B, x_data.shape[2]), dtype=dtype)
+        dh = np.zeros((B, d), dtype=dtype)
+        dh_rec = np.empty_like(dh)
+        pre_rows = np.empty_like(gi)
+        # The forward's workspaces now hold dgi / dgh, zero off the valid rows.
+        gi.fill(0.0)
+        gh.fill(0.0)
         for t in range(T - 1, -1, -1):
-            g = g_out[:, t, :] + dh
-            h_before = out_data[:, t - 1, :] if t > 0 else h_first
-            m = m_cols[:, t, :] if m_cols is not None else None
-            dgi, dgh, dh = _gru_backward_step(
-                g, h_before, x_data[:, t, :], zs[t], rs[t], ns[t], gh_ns[t], w_ih_d, w_hh_d, m
-            )
-            dh = dh + np.matmul(dgh, w_hh_d.T)
+            dh += g_out[:, t]
+            if steps[t] is None:
+                continue  # the state passed through: so does its gradient
+            rows, zr, n, gh_n = steps[t]
+            z, r = zr[:, :d], zr[:, d:]
+            h_before = out_data[:, t - 1] if t > 0 else (h0.data if h0 is not None else h_zero)
+            g = dh[rows]
+            dn_pre = g * (1.0 - z) * (1.0 - n * n)
+            pre = pre_rows[: len(g)]
+            pre[:, :d] = g * (h_before[rows] - n)
+            pre[:, d : 2 * d] = dn_pre * gh_n
+            pre[:, : 2 * d] *= zr
+            pre[:, : 2 * d] *= 1.0 - zr
+            pre[:, 2 * d :] = dn_pre
+            gi[rows] = pre
+            pre[:, 2 * d :] = dn_pre * r
+            gh[rows] = pre
+            dh[rows] = g * z
+            dh += np.matmul(gh, w_hh_d.T, out=dh_rec)
             if d_x is not None:
-                d_x[:, t, :] = np.matmul(dgi, w_ih_d.T)
-            if need_w:
-                x_t = x_data[:, t, :]
-                if d_w_ih is not None:
-                    d_w_ih += x_t.T @ dgi
-                if d_w_hh is not None:
-                    d_w_hh += h_before.T @ dgh
-            if need_b:
-                if d_b_ih is not None:
-                    d_b_ih += dgi.sum(axis=0)
-                if d_b_hh is not None:
-                    d_b_hh += dgh.sum(axis=0)
+                d_x[:, t] = np.matmul(gi, w_ih_d.T, out=d_x_t)
+            if d_w_ih is not None:
+                d_w_ih += x_data[:, t].T @ gi
+            if d_w_hh is not None:
+                d_w_hh += h_before.T @ gh
+            if d_b_ih is not None:
+                d_b_ih += gi.sum(axis=0)
+            if d_b_hh is not None:
+                d_b_hh += gh.sum(axis=0)
+            gi[rows] = 0.0
+            gh[rows] = 0.0
         if d_x is not None:
             x._accumulate(d_x)
         if h0 is not None and h0.requires_grad:
@@ -334,34 +361,10 @@ def gru_sequence(
         if d_b_hh is not None:
             b_hh._accumulate(d_b_hh)
 
-    parents = [x, w_ih, w_hh, b_ih, b_hh]
-    if h0 is not None:
-        parents.append(h0)
-    out = Tensor._make(out_data, tuple(parents), backward)
+    parents = (x, w_ih, w_hh, b_ih, b_hh) if h0 is None else (x, w_ih, w_hh, b_ih, b_hh, h0)
+    out = Tensor._make(out_data, parents, backward)
     if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            xd = x.data
-            wi, wh, bi, bh = w_ih.data, w_hh.data, b_ih.data, b_hh.data
-            if m_cols is not None:
-                np.copyto(m_cols[..., 0], mask)  # refresh mask snapshot
-            h_prev = h0.data if h0 is not None else h0_data
-            for t in range(T):
-                h_new, z, r, n, gh_n = _gru_forward_step(xd[:, t, :], h_prev, wi, wh, bi, bh, d)
-                if m_cols is not None:
-                    m = m_cols[:, t, :]
-                    h_prev = m * h_new + (1.0 - m) * h_prev
-                else:
-                    h_prev = h_new
-                out_data[:, t, :] = h_prev
-                # copy into the buffers the backward closure captured
-                np.copyto(zs[t], z)
-                np.copyto(rs[t], r)
-                np.copyto(ns[t], n)
-                np.copyto(gh_ns[t], gh_n)
-
-        operands = () if mask is None else (mask,)
-        _tensor._TAPE._record(out, replay, operands=operands)
+        _tensor._TAPE._record(out, run_forward, operands=() if mask is None else (mask,))
     return out
 
 

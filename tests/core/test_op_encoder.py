@@ -30,6 +30,7 @@ class TestMicroOpEncoder:
         mask = np.array([[[1, 0], [0, 0]]], dtype=float)
         out = enc(emb, ops, mask)
         assert np.allclose(out.data[0, 1], 0.0)
+        assert not np.signbit(out.data[0, 1]).any()  # exactly +0.0, never -0.0
         assert not np.allclose(out.data[0, 0], 0.0)
 
     def test_order_sensitivity(self, setup):
