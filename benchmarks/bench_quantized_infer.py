@@ -2,7 +2,7 @@
 """Quantized inference benchmark: scoring latency + ranking fidelity.
 
 Measures the two claims behind ``repro serve --compute {float32,float16,
-int8}`` (``repro.compile.quantize``):
+int8}`` (``repro.retrieval.quantize``):
 
 1. **Fidelity** — a small EMBSR is trained and its test split is scored
    through every compute mode; recall@20 of each reduced-precision mode
@@ -41,7 +41,7 @@ if not any((pathlib.Path(p) / "repro").is_dir() for p in sys.path if p):
 
 import numpy as np
 
-from repro.compile.quantize import QuantizedScorer
+from repro.retrieval.quantize import QuantizedScorer
 from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
 from repro.data.dataset import DataLoader
 from repro.eval import ExperimentConfig, ExperimentRunner

@@ -83,11 +83,6 @@ try:  # absent on the pre-optimization tree that records the baseline
 except ImportError:  # pragma: no cover - exercised only on the seed tree
     perf = None
 
-try:  # absent on trees that predate the compiled-step PR
-    from repro.compile.step import CompileEngine
-except ImportError:  # pragma: no cover - exercised only on older trees
-    CompileEngine = None
-
 try:  # absent on trees that predate the packed-data PR
     from repro.data.packed import pack_dataset
 except ImportError:  # pragma: no cover - exercised only on older trees
@@ -120,14 +115,12 @@ def _set_fusion(enabled: bool) -> None:
         perf.set_fusion(enabled)
 
 
-def build_batches(sessions: int, batch_size: int, seed: int = 0, bucket: bool = False):
+def build_batches(sessions: int, batch_size: int, seed: int = 0):
     cfg = jd_appliances_config()
     raw = generate_dataset(cfg, sessions, seed=seed)
     dataset = prepare_dataset(raw, cfg.operations, name="bench", min_support=3, seed=seed)
-    kwargs = {"bucket_lengths": True} if bucket else {}
     loader = DataLoader(
-        dataset.train, batch_size=batch_size, shuffle=True, seed=seed,
-        max_ops_per_item=6, **kwargs,
+        dataset.train, batch_size=batch_size, shuffle=True, seed=seed, max_ops_per_item=6
     )
     return dataset, list(loader)
 
@@ -140,15 +133,8 @@ def build_model(dataset, name: str, dim: int, seed: int) -> nn.Module:
     return recommender.build_model()
 
 
-def train_steps(
-    model, batches, steps: int, lr: float = 0.003, grad_clip: float = 5.0, engine=None
-):
-    """Run ``steps`` trainer steps; returns (elapsed_seconds, losses).
-
-    With ``engine`` (a :class:`repro.compile.step.CompileEngine`) the
-    forward/backward goes through trace/validate/replay; the engine
-    guarantees the result is bitwise the eager step.
-    """
+def train_steps(model, batches, steps: int, lr: float = 0.003, grad_clip: float = 5.0):
+    """Run ``steps`` trainer steps; returns (elapsed_seconds, losses)."""
     optimizer = nn.Adam(model.parameters(), lr=lr)
     model.train()
     losses = []
@@ -156,47 +142,27 @@ def train_steps(
     for i in range(steps):
         batch = batches[i % len(batches)]
         optimizer.zero_grad()
-        if engine is not None:
-            losses.append(engine.step(batch))
-        else:
-            logits = model(batch)
-            loss = nn.cross_entropy(logits, batch.target_classes)
-            loss.backward()
-            losses.append(float(loss.item()))
+        logits = model(batch)
+        loss = nn.cross_entropy(logits, batch.target_classes)
+        loss.backward()
+        losses.append(float(loss.item()))
         nn.clip_grad_norm(model.parameters(), grad_clip)
         optimizer.step()
     return time.perf_counter() - start, losses
 
 
-def measure(
-    name: str, dataset, batches, dim: int, steps: int, warmup: int, seed: int,
-    compiled: bool = False,
-):
+def measure(name: str, dataset, batches, dim: int, steps: int, warmup: int, seed: int):
     model = build_model(dataset, name, dim, seed)
-    engine = None
-    if compiled:
-        engine = CompileEngine(model)
-        # Every distinct shape key needs a trace + a validation step before
-        # replays kick in; the timed region below measures the steady state.
-        warmup = max(warmup, 2 * len(batches) + 1)
-    train_steps(model, batches, warmup, engine=engine)  # warm caches / amortize first-touch
-    elapsed, losses = train_steps(model, batches, steps, engine=engine)
+    train_steps(model, batches, warmup)  # warm caches / amortize first-touch
+    elapsed, losses = train_steps(model, batches, steps)
     tokens = sum(float(batches[i % len(batches)].micro_mask.sum()) for i in range(steps))
-    stats = {
+    return {
         "steps_per_sec": steps / elapsed,
         "tokens_per_sec": tokens / elapsed,
         "elapsed_sec": elapsed,
         "steps": steps,
         "final_loss": losses[-1],
     }
-    if engine is not None:
-        stats["compile_stats"] = {
-            "traces": engine.stats.traces,
-            "validations": engine.stats.validations,
-            "replays": engine.stats.replays,
-            "eager_fallbacks": engine.stats.eager_steps,
-        }
-    return stats
 
 
 def build_heavy_dataset(sessions: int, seed: int):
@@ -205,7 +171,7 @@ def build_heavy_dataset(sessions: int, seed: int):
     The data-pipeline numbers are about *collation* cost, which scales with
     macro steps and micro ops per session — the default config's short
     sessions would hide it behind model compute. Kept separate from the
-    main bench dataset so the committed fused/compiled baselines stay
+    main bench dataset so the committed fused baselines stay
     comparable across revisions.
     """
     import dataclasses
@@ -318,24 +284,6 @@ def measure_live(
     }
 
 
-def compile_parity_check(name: str, dataset, batches, dim: int, steps: int, seed: int):
-    """Same seed + batches, eager vs compiled: parameters must match bitwise."""
-    eager = build_model(dataset, name, dim, seed)
-    _, eager_losses = train_steps(eager, batches, steps)
-    comp = build_model(dataset, name, dim, seed)
-    _, comp_losses = train_steps(comp, batches, steps, engine=CompileEngine(comp))
-    eager_params, comp_params = eager.state_dict(), comp.state_dict()
-    identical = all(
-        np.array_equal(eager_params[key], comp_params[key]) for key in eager_params
-    ) and eager_losses == comp_losses
-    return {
-        "steps": steps,
-        "final_loss_eager": eager_losses[-1],
-        "final_loss_compiled": comp_losses[-1],
-        "bitwise_identical": bool(identical),
-    }
-
-
 def train_steps_sharded(
     model,
     loader,
@@ -349,7 +297,6 @@ def train_steps_sharded(
     num_items: int,
     lr: float = 0.003,
     grad_clip: float = 5.0,
-    compile: bool = False,
 ):
     """Run ``steps`` shard-grid trainer steps through the chosen executor.
 
@@ -369,13 +316,11 @@ def train_steps_sharded(
         engine = DataParallelEngine(
             model, loader,
             workers=min(workers, grad_shards), grad_shards=grad_shards,
-            seed=seed, dtype=dtype, num_items=num_items, compile=compile,
+            seed=seed, dtype=dtype, num_items=num_items,
         )
         executor = engine
     else:
-        executor = SerialShardExecutor(
-            model, grad_shards=grad_shards, seed=seed, compile=compile
-        )
+        executor = SerialShardExecutor(model, grad_shards=grad_shards, seed=seed)
     losses = []
     try:
         start = time.perf_counter()
@@ -395,16 +340,14 @@ def train_steps_sharded(
 
 def measure_parallel(
     name: str, dataset, loader, batches, dim: int, steps: int, warmup: int,
-    seed: int, dtype: str, grad_shards: int, workers: int, compile: bool = False,
+    seed: int, dtype: str, grad_shards: int, workers: int,
 ):
     """Throughput + final parameters of one executor configuration."""
     model = build_model(dataset, name, dim, seed)
     kwargs = dict(
         grad_shards=grad_shards, workers=workers, seed=seed, dtype=dtype,
-        num_items=dataset.num_items, compile=compile,
+        num_items=dataset.num_items,
     )
-    if compile:
-        warmup = max(warmup, 2 * len(batches) + 1)
     train_steps_sharded(model, loader, batches, warmup, **kwargs)
     elapsed, losses = train_steps_sharded(model, loader, batches, steps, **kwargs)
     tokens = sum(float(batches[i % len(batches)].micro_mask.sum()) for i in range(steps))
@@ -422,18 +365,18 @@ def measure_parallel(
 
 def parallel_section(
     models, dataset, loader, batches, dim: int, steps: int, warmup: int,
-    seed: int, dtype: str, grad_shards: int, workers: int, compile: bool = False,
+    seed: int, dtype: str, grad_shards: int, workers: int,
 ):
     """Benchmark N workers vs 1 on the same shard grid; assert parity."""
     section = {}
     for name in models:
         serial_stats, serial_params = measure_parallel(
             name, dataset, loader, batches, dim, steps, warmup, seed, dtype,
-            grad_shards, workers=1, compile=compile,
+            grad_shards, workers=1,
         )
         fanned_stats, fanned_params = measure_parallel(
             name, dataset, loader, batches, dim, steps, warmup, seed, dtype,
-            grad_shards, workers=workers, compile=compile,
+            grad_shards, workers=workers,
         )
         diff = max(
             float(np.max(np.abs(serial_params[key] - fanned_params[key])))
@@ -446,7 +389,6 @@ def parallel_section(
             "speedup": speedup,
             "max_abs_param_diff": diff,
             "bitwise_identical": bool(diff == 0.0),
-            "compiled": compile,
         }
         print(
             f"{name:8s} [shards={grad_shards}] 1w {serial_stats['steps_per_sec']:8.2f} steps/s | "
@@ -503,15 +445,6 @@ def main(argv=None) -> int:
         help="summation-tree grid for the parallel section (0 = auto: max(workers, 1))",
     )
     parser.add_argument(
-        "--compile", action="store_true",
-        help="run the parallel section through the compiled (trace/replay) "
-        "executors; the |Δparam| = 0 parity assert still applies",
-    )
-    parser.add_argument(
-        "--skip-compile", action="store_true",
-        help="skip the eager-vs-compiled single-process comparison",
-    )
-    parser.add_argument(
         "--packed", action="store_true",
         help="also benchmark the packed data pipeline: loop vs vectorized "
         "collate, and end-to-end live-loader steps/sec object vs packed",
@@ -537,20 +470,13 @@ def main(argv=None) -> int:
     dim = args.dim or (16 if args.smoke else 32)
     grad_shards = args.grad_shards or max(args.workers, 1)
     cores = _available_cores()
-    do_compile = CompileEngine is not None and not args.skip_compile
-    if args.compile and CompileEngine is None:
-        raise SystemExit("--compile requires the repro.compile package")
     do_packed = (args.packed or args.prefetch) and pack_dataset is not None
     if (args.packed or args.prefetch) and pack_dataset is None:
         raise SystemExit("--packed requires the repro.data.packed module")
 
     from repro.autograd import default_dtype
 
-    # Bucketed padded lengths whenever the compiled path participates, so
-    # its shape keys repeat; eager numbers are measured on the SAME batches.
-    dataset, batches = build_batches(
-        sessions, args.batch_size, seed=args.seed, bucket=do_compile
-    )
+    dataset, batches = build_batches(sessions, args.batch_size, seed=args.seed)
     print(
         f"dataset: {len(dataset.train)} train examples, {dataset.num_items} items; "
         f"{len(batches)} batches of {args.batch_size}; {cores} core(s) available"
@@ -575,37 +501,6 @@ def main(argv=None) -> int:
                 )
                 results[name]["fused_over_unfused"] = ratio
                 print(f"{name:8s} fused/unfused speedup: {ratio:.2f}x")
-            if do_compile:
-                _set_fusion(True)
-                stats = measure(
-                    name, dataset, batches, dim, steps, warmup, args.seed,
-                    compiled=True,
-                )
-                results[name]["compiled"] = stats
-                eager = results[name].get("fused") or results[name]["unfused"]
-                ratio = stats["steps_per_sec"] / eager["steps_per_sec"]
-                results[name]["compiled_over_eager"] = ratio
-                cs = stats["compile_stats"]
-                print(
-                    f"{name:8s} [compiled] {stats['steps_per_sec']:8.2f} steps/s "
-                    f"{stats['tokens_per_sec']:10.0f} tokens/s | "
-                    f"{ratio:.2f}x vs eager | "
-                    f"{cs['traces']}t/{cs['validations']}v/{cs['replays']}r/"
-                    f"{cs['eager_fallbacks']}f"
-                )
-                parity = compile_parity_check(
-                    name, dataset, batches, dim, 5 if args.smoke else 20, args.seed
-                )
-                results[name]["compile_parity"] = parity
-                print(
-                    f"{name:8s} compile parity: "
-                    f"{'bitwise identical' if parity['bitwise_identical'] else 'MISMATCH'}"
-                )
-                if not parity["bitwise_identical"]:
-                    raise SystemExit(
-                        f"{name}: compiled training diverged from eager; the "
-                        "trace/replay contract is broken"
-                    )
         _set_fusion(True)
 
         collate_stats = {}
@@ -648,15 +543,13 @@ def main(argv=None) -> int:
 
         parallel = {}
         if args.workers > 1:
-            loader_kwargs = {"bucket_lengths": True} if do_compile else {}
             loader = DataLoader(
                 dataset.train, batch_size=args.batch_size, shuffle=True,
-                seed=args.seed, max_ops_per_item=6, **loader_kwargs,
+                seed=args.seed, max_ops_per_item=6,
             )
             parallel = parallel_section(
                 args.models, dataset, loader, batches, dim, steps, warmup,
                 args.seed, args.dtype, grad_shards, args.workers,
-                compile=args.compile,
             )
             if cores < args.workers:
                 print(
@@ -693,9 +586,6 @@ def main(argv=None) -> int:
             "workers": args.workers,
             "grad_shards": grad_shards,
             "has_perf_package": perf is not None,
-            "has_compile_package": CompileEngine is not None,
-            "bucket_lengths": do_compile,
-            "parallel_compiled": bool(args.compile),
             "has_packed_module": pack_dataset is not None,
             "packed": do_packed,
             "prefetch": bool(args.prefetch),
@@ -736,20 +626,6 @@ def main(argv=None) -> int:
             "steps_per_sec": round(source["steps_per_sec"], 4),
             "tokens_per_sec": round(source["tokens_per_sec"], 1),
         }
-        eager = results[name].get("fused") or results[name].get("unfused")
-        compiled = results[name].get("compiled")
-        if compiled is not None:
-            # Eager vs compiled side by side, measured single-process on the
-            # same batches within this run.
-            summary_models[name]["steps_per_sec_eager"] = round(
-                eager["steps_per_sec"], 4
-            )
-            summary_models[name]["steps_per_sec_compiled"] = round(
-                compiled["steps_per_sec"], 4
-            )
-            summary_models[name]["compiled_speedup"] = round(
-                results[name]["compiled_over_eager"], 3
-            )
         if name in live:
             # Live-loader numbers (collation inside the timed region):
             # object path vs packed columnar (+prefetch when enabled).
@@ -786,11 +662,6 @@ def main(argv=None) -> int:
         "parallel_bitwise_identical": all(
             entry["bitwise_identical"] for entry in parallel.values()
         ) if parallel else None,
-        "parallel_compiled": bool(args.compile) if parallel else None,
-        "compile_bitwise_identical": all(
-            results[name]["compile_parity"]["bitwise_identical"]
-            for name in args.models
-        ) if do_compile else None,
         # Schema 3: packed-pipeline numbers (null when --packed was off).
         "packed": do_packed,
         "prefetch": bool(args.prefetch) if do_packed else None,

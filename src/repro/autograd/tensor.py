@@ -55,22 +55,10 @@ _DEFAULT_DTYPE = np.dtype(np.float64)
 # _set_profiler so the hot path pays a single global load when disabled.
 _PROFILER = None
 
-# Active trace tape (repro.compile.tape.Tape) or None. While a tape is
-# active, every op registers an in-place *replay* closure alongside its
-# backward closure, so one recorded step can be re-executed as a flat loop
-# over the same buffers with zero graph construction (docs/performance.md,
-# "Compiled step"). The hot path pays one global None-check per op.
-_TAPE = None
-
 
 def _set_profiler(profiler) -> None:
     global _PROFILER
     _PROFILER = profiler
-
-
-def _set_tape(tape) -> None:
-    global _TAPE
-    _TAPE = tape
 
 
 @contextlib.contextmanager
@@ -197,8 +185,6 @@ class Tensor:
         # avoids a fresh zeros(num_embeddings, dim) allocation every step.
         self._grad_buffer: np.ndarray | None = None
         self._topo_cache: list[Tensor] | None = None
-        if _TAPE is not None:
-            _TAPE._on_tensor(self)
 
     # ------------------------------------------------------------------
     # Introspection helpers
@@ -262,8 +248,6 @@ class Tensor:
         out._backward = backward
         if _PROFILER is not None:
             _PROFILER._record_node(backward)
-        if _TAPE is not None:
-            _TAPE._on_node(out)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -371,12 +355,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(out.grad, other.shape))
 
         out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            # Record against out.data, not the raw ufunc result: for 0-d
-            # operands (composite scalar losses) NumPy hands back a scalar,
-            # which is not a legal ``out=`` buffer on replay.
-            dst = out.data
-            _TAPE._record(out, lambda: np.add(self.data, other.data, out=dst))
         return out
 
     __radd__ = __add__
@@ -389,9 +367,6 @@ class Tensor:
             self._accumulate(-out.grad)
 
         out = Tensor._make(-self.data, (self,), backward)
-        if _TAPE is not None:
-            dst = out.data
-            _TAPE._record(out, lambda: np.negative(self.data, out=dst))
         return out
 
     def __sub__(self, other) -> "Tensor":
@@ -407,9 +382,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(-out.grad, other.shape))
 
         out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            dst = out.data  # ndarray even for 0-d results (see __add__)
-            _TAPE._record(out, lambda: np.subtract(self.data, other.data, out=dst))
         return out
 
     def __rsub__(self, other) -> "Tensor":
@@ -428,9 +400,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
 
         out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            dst = out.data  # ndarray even for 0-d results (see __add__)
-            _TAPE._record(out, lambda: np.multiply(self.data, other.data, out=dst))
         return out
 
     __rmul__ = __mul__
@@ -449,9 +418,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(grad, other.shape))
 
         out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            dst = out.data  # ndarray even for 0-d results (see __add__)
-            _TAPE._record(out, lambda: np.divide(self.data, other.data, out=dst))
         return out
 
     def __rtruediv__(self, other) -> "Tensor":
@@ -468,11 +434,6 @@ class Tensor:
             self._accumulate(out.grad * exponent * self.data ** (exponent - 1))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            # ``**`` has value-specific fast paths (square, sqrt); replaying
-            # the same expression keeps the replay bitwise-identical.
-            dst = out.data  # ndarray even for 0-d results (see __add__)
-            _TAPE._record(out, lambda: np.copyto(dst, self.data**exponent))
         return out
 
     # ------------------------------------------------------------------
@@ -487,8 +448,6 @@ class Tensor:
             self._accumulate(out.grad * out_data)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.exp(self.data, out=out_data))
         return out
 
     def log(self) -> "Tensor":
@@ -500,8 +459,6 @@ class Tensor:
             self._accumulate(out.grad / self.data)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.log(self.data, out=out_data))
         return out
 
     def sqrt(self) -> "Tensor":
@@ -513,8 +470,6 @@ class Tensor:
             self._accumulate(out.grad * 0.5 / out_data)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.sqrt(self.data, out=out_data))
         return out
 
     def tanh(self) -> "Tensor":
@@ -526,8 +481,6 @@ class Tensor:
             self._accumulate(out.grad * (1.0 - out_data**2))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.tanh(self.data, out=out_data))
         return out
 
     def sigmoid(self) -> "Tensor":
@@ -539,8 +492,6 @@ class Tensor:
             self._accumulate(out.grad * out_data * (1.0 - out_data))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.copyto(out_data, _stable_sigmoid(self.data)))
         return out
 
     def relu(self) -> "Tensor":
@@ -553,15 +504,6 @@ class Tensor:
             self._accumulate(out.grad * mask)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-
-            def replay() -> None:
-                # ``mask`` is captured by the backward closure: refresh it
-                # in place so both forward and backward see current values.
-                np.greater(self.data, 0, out=mask)
-                np.multiply(self.data, mask, out=out_data)
-
-            _TAPE._record(out, replay)
         return out
 
     def abs(self) -> "Tensor":
@@ -574,13 +516,6 @@ class Tensor:
             self._accumulate(out.grad * sign)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-
-            def replay() -> None:
-                np.sign(self.data, out=sign)
-                np.absolute(self.data, out=out_data)
-
-            _TAPE._record(out, replay)
         return out
 
     # ------------------------------------------------------------------
@@ -619,8 +554,6 @@ class Tensor:
                 other._accumulate(grad_b)
 
         out = Tensor._make(out_data, (self, other), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.matmul(self.data, other.data, out=out_data))
         return out
 
     def __matmul__(self, other) -> "Tensor":
@@ -645,10 +578,6 @@ class Tensor:
             self._accumulate(grad)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(
-                out, lambda: np.sum(self.data, axis=axis, keepdims=keepdims, out=out_data)
-            )
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -677,10 +606,6 @@ class Tensor:
             self._accumulate(grad * mask / counts)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(
-                out, lambda: np.max(self.data, axis=axis, keepdims=keepdims, out=out_data)
-            )
         return out
 
     def var(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -702,14 +627,6 @@ class Tensor:
             self._accumulate(out.grad.reshape(original))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            # View op: rebind to a fresh view each replay (handles both the
-            # view and the copy-on-non-contiguous case); backward only reads
-            # ``out.grad``, so rebinding is safe.
-            def replay() -> None:
-                out.data = self.data.reshape(shape)
-
-            _TAPE._record(out, replay)
         return out
 
     def transpose(self, *axes) -> "Tensor":
@@ -726,12 +643,6 @@ class Tensor:
             self._accumulate(out.grad.transpose(inverse))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-
-            def replay() -> None:
-                out.data = self.data.transpose(axes)
-
-            _TAPE._record(out, replay)
         return out
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
@@ -748,12 +659,6 @@ class Tensor:
             self._accumulate(np.squeeze(out.grad, axis=axis))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-
-            def replay() -> None:
-                out.data = np.expand_dims(self.data, axis)
-
-            _TAPE._record(out, replay)
         return out
 
     def squeeze(self, axis: int) -> "Tensor":
@@ -765,12 +670,6 @@ class Tensor:
             self._accumulate(np.expand_dims(out.grad, axis))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-
-            def replay() -> None:
-                out.data = np.squeeze(self.data, axis=axis)
-
-            _TAPE._record(out, replay)
         return out
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
@@ -783,8 +682,6 @@ class Tensor:
             self._accumulate(_unbroadcast(out.grad, original))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(out, lambda: np.copyto(out_data, self.data))
         return out
 
     # ------------------------------------------------------------------
@@ -793,15 +690,7 @@ class Tensor:
     def __getitem__(self, index) -> "Tensor":
         out_data = np.array(self.data[index], copy=True)
         if not (_GRAD_ENABLED and self.requires_grad):
-            out = Tensor(out_data)
-            if _TAPE is not None:
-                _TAPE._record_const(
-                    out,
-                    "getitem",
-                    lambda: np.copyto(out_data, self.data[index]),
-                    operands=index if isinstance(index, tuple) else (index,),
-                )
-            return out
+            return Tensor(out_data)
 
         def backward() -> None:
             grad = np.zeros_like(self.data)
@@ -809,12 +698,6 @@ class Tensor:
             self._accumulate(grad)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(
-                out,
-                lambda: np.copyto(out_data, self.data[index]),
-                operands=index if isinstance(index, tuple) else (index,),
-            )
         return out
 
     def take(self, indices: np.ndarray, axis: int = 0) -> "Tensor":
@@ -834,12 +717,6 @@ class Tensor:
             self._accumulate(grad)
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            _TAPE._record(
-                out,
-                lambda: np.copyto(out_data, np.take(self.data, indices, axis=axis)),
-                operands=(indices,),
-            )
         return out
 
     # ------------------------------------------------------------------
@@ -864,16 +741,6 @@ class Tensor:
             self._accumulate(out_data * (g - dot))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            tmp = np.empty_like(out_data)
-
-            def replay() -> None:
-                x = self.data
-                np.subtract(x, x.max(axis=axis, keepdims=True), out=tmp)
-                np.exp(tmp, out=tmp)
-                np.divide(tmp, tmp.sum(axis=axis, keepdims=True), out=out_data)
-
-            _TAPE._record(out, replay)
         return out
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
@@ -894,16 +761,6 @@ class Tensor:
             self._accumulate(g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
 
         out = Tensor._make(out_data, (self,), backward)
-        if _TAPE is not None:
-            tmp = np.empty_like(out_data)
-
-            def replay() -> None:
-                x = self.data
-                np.subtract(x, x.max(axis=axis, keepdims=True), out=tmp)
-                lse = np.log(np.exp(tmp).sum(axis=axis, keepdims=True))
-                np.subtract(tmp, lse, out=out_data)
-
-            _TAPE._record(out, replay)
         return out
 
     def l2_normalize(self, axis: int = -1, eps: float = 1e-12) -> "Tensor":
@@ -928,10 +785,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(out.grad[tuple(slicer)])
 
     out = Tensor._make(out_data, tensors, backward)
-    if _TAPE is not None:
-        _TAPE._record(
-            out, lambda: np.concatenate([t.data for t in tensors], axis=axis, out=out_data)
-        )
     return out
 
 
@@ -948,20 +801,11 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
                 t._accumulate(np.take(out.grad, i, axis=axis))
 
     out = Tensor._make(out_data, tensors, backward)
-    if _TAPE is not None:
-        dst_rows = np.moveaxis(out_data, axis, 0)
-
-        def replay() -> None:
-            for i, t in enumerate(tensors):
-                np.copyto(dst_rows[i], t.data)
-
-        _TAPE._record(out, replay)
     return out
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Differentiable selection; ``condition`` is a constant boolean array."""
-    cond_src = condition
     condition = np.asarray(condition, dtype=bool)
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
@@ -976,15 +820,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(out.grad * ~condition, b.shape))
 
     out = Tensor._make(out_data, (a, b), backward)
-    if _TAPE is not None:
-
-        def replay() -> None:
-            if cond_src is not condition:
-                np.not_equal(cond_src, 0, out=condition)
-            np.copyto(out_data, b.data)
-            np.copyto(out_data, a.data, where=condition)
-
-        _TAPE._record(out, replay, operands=(cond_src,))
     return out
 
 
@@ -1007,14 +842,4 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(out.grad * (b_wins + 0.5 * tie), b.shape))
 
     out = Tensor._make(out_data, (a, b), backward)
-    if _TAPE is not None:
-
-        def replay() -> None:
-            np.greater(a.data, b.data, out=a_wins)
-            np.equal(a.data, b.data, out=tie)
-            np.logical_or(a_wins, tie, out=b_wins)
-            np.logical_not(b_wins, out=b_wins)
-            np.maximum(a.data, b.data, out=out_data)
-
-        _TAPE._record(out, replay)
     return out

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, concat
-from ..compile.tape import host_array, leaf, static_array
 from ..graphs import BatchGraph
 from ..nn import Linear, Module
 from ..nn.init import scaled_uniform
@@ -54,11 +53,9 @@ class SessionGGNN(Module):
         self.u_h = Linear(dim, dim, bias=False, rng=rng)
 
     def forward(self, nodes: Tensor, graph: BatchGraph) -> Tensor:
-        # One [2, B, c, c] buffer so the adjacency is built once per step
-        # (and once per compiled replay) rather than once per matrix.
-        adj = host_array(lambda: np.stack(normalized_adjacency(graph)))
-        a_in, a_out = leaf(lambda: adj[0]), leaf(lambda: adj[1])
-        mask = leaf(lambda: graph.node_mask[..., None])
+        a_in_np, a_out_np = normalized_adjacency(graph)
+        a_in, a_out = Tensor(a_in_np), Tensor(a_out_np)
+        mask = Tensor(graph.node_mask[..., None])
         h = nodes * mask
         for _ in range(self.num_layers):
             agg = concat([a_in @ self.w_in(h), a_out @ self.w_out(h)], axis=2)
@@ -88,7 +85,7 @@ class SoftAttentionReadout(Module):
     def forward(self, seq: Tensor, last: Tensor, mask: np.ndarray) -> Tensor:
         """``seq`` [B, n, d], ``last`` [B, d], ``mask`` [B, n] -> [B, d]."""
         energy = (self.w1(last).unsqueeze(1) + self.w2(seq)).sigmoid() @ self.q  # [B, n]
-        weights = energy * leaf(lambda: mask)
+        weights = energy * Tensor(mask)
         pooled = (weights.unsqueeze(2) * seq).sum(axis=1)
         if not self.concat_last:
             return pooled
@@ -97,6 +94,6 @@ class SoftAttentionReadout(Module):
 
 def last_position_rep(seq: Tensor, mask: np.ndarray) -> Tensor:
     """Gather each session's representation at its final valid position."""
-    index = host_array(lambda: np.maximum(mask.sum(axis=1).astype(np.int64) - 1, 0))
-    batch = static_array(lambda: np.arange(seq.shape[0]))
-    return seq[batch, index, :]
+    lengths = mask.sum(axis=1).astype(np.int64)
+    batch = np.arange(seq.shape[0])
+    return seq[batch, np.maximum(lengths - 1, 0), :]

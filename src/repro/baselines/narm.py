@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, concat
-from ..compile.tape import leaf
 from ..data.dataset import SessionBatch
 from ..nn import GRU, Dropout, Embedding, Linear, Module
 from ..nn.init import scaled_uniform
@@ -42,7 +41,7 @@ class NARM(Module):
         outputs, h_t = self.gru(x, mask=batch.item_mask)
         # Local encoder: attention over hidden states with h_t as query.
         energy = (self.a1(h_t).unsqueeze(1) + self.a2(outputs)).sigmoid() @ self.v
-        alpha = energy * leaf(lambda: batch.item_mask)
+        alpha = energy * Tensor(batch.item_mask)
         c_local = (alpha.unsqueeze(2) * outputs).sum(axis=1)
         c = self.dropout(concat([h_t, c_local], axis=1))
         return self.b(c)

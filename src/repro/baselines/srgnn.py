@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..compile.tape import leaf, session_graph
 from ..data.dataset import SessionBatch
 from ..graphs import BatchGraph
 from ..nn import Dropout, Embedding, Module
@@ -32,10 +31,10 @@ class SRGNN(Module):
 
     def encode_sessions(self, batch: SessionBatch, graph: BatchGraph | None = None) -> Tensor:
         """[B, d] session representations (the scoring-head queries)."""
-        graph = graph or session_graph(batch)
+        graph = graph or BatchGraph.from_batch(batch)
         nodes = self.dropout(self.item_embedding(graph.node_items))
         h = self.ggnn(nodes, graph)
-        seq = leaf(lambda: graph.gather) @ h  # node states at macro positions
+        seq = Tensor(graph.gather) @ h  # node states at macro positions
         last = last_position_rep(seq, batch.item_mask)
         return self.readout(seq, last, batch.item_mask)
 

@@ -49,6 +49,7 @@ from .data import (
     save_sessions_jsonl,
     trivago_config,
 )
+from .data.io import DatasetFormatError
 from .eval import ExperimentConfig, ExperimentRunner, improvement_table
 from .utils import render_table
 
@@ -101,18 +102,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         metavar="G",
         help="gradient summation-tree grid; 0 = auto (follows --workers), "
         "1 = the classic whole-batch path (docs/performance.md, Parallelism)",
-    )
-    p.add_argument(
-        "--compile",
-        action="store_true",
-        help="trace/validate/replay the training step per padded shape; "
-        "bitwise-identical to eager (docs/performance.md, Compiled step)",
-    )
-    p.add_argument(
-        "--bucket-lengths",
-        action="store_true",
-        help="quantize padded batch dims to a bucket ladder so compiled "
-        "shape keys repeat (changes padding, hence the numeric trajectory)",
     )
     p.add_argument(
         "--packed",
@@ -244,12 +233,6 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
         help="profile the model from this artifact (spec + weights) instead of building fresh",
     )
     p.add_argument("--no-fusion", action="store_true", help="profile the unfused composed ops")
-    p.add_argument(
-        "--compiled",
-        action="store_true",
-        help="run the steps through the trace/replay engine (repro.compile); "
-        "per-slot replay timings appear in their own profile section",
-    )
     p.add_argument("--json", default=None, metavar="PATH", help="also dump the profile as JSON")
     p.add_argument(
         "--trace",
@@ -468,8 +451,6 @@ def _runner(args, epochs: int | None = None) -> ExperimentRunner:
         resume_from=getattr(args, "resume", None),
         workers=getattr(args, "workers", 1),
         grad_shards=getattr(args, "grad_shards", 0),
-        compile=getattr(args, "compile", False),
-        bucket_lengths=getattr(args, "bucket_lengths", False),
         packed=getattr(args, "packed", False),
         prefetch=getattr(args, "prefetch", False),
         objective=getattr(args, "objective", None),
@@ -675,16 +656,9 @@ def _cmd_profile(args) -> int:
             batch_size=args.batch_size,
             shuffle=True,
             seed=args.seed,
-            # Compiled profiling needs repeating shape keys to reach replays.
-            bucket_lengths=args.compiled,
         )
         batches = list(loader)
         model.train()
-        engine = None
-        if args.compiled:
-            from .compile.step import CompileEngine
-
-            engine = CompileEngine(model, objective=objective)
         profiler = OpProfiler()
         components: dict[str, float] = {}
         start = time.perf_counter()
@@ -693,20 +667,14 @@ def _cmd_profile(args) -> int:
                 batch = batches[step % len(batches)]
                 optimizer.zero_grad()
                 ctx = StepContext(seed=args.seed, epoch=0, batch_index=step)
-                if engine is not None:
-                    engine.step(batch, ctx=ctx)
-                    components = dict(engine.last_components)
-                else:
-                    objective.begin_step(ctx)
-                    parts = objective.compute(model, batch)
-                    parts.loss.backward()
-                    components = parts.component_values()
+                objective.begin_step(ctx)
+                parts = objective.compute(model, batch)
+                parts.loss.backward()
+                components = parts.component_values()
                 clip_grad_norm(model.parameters(), 5.0)
                 optimizer.step()
         elapsed = time.perf_counter() - start
     mode = "unfused" if args.no_fusion else "fused"
-    if engine is not None:
-        mode += ", compiled"
     print(
         f"{args.model} ({mode}, {args.dtype}): {args.steps} steps in {elapsed:.3f}s "
         f"({args.steps / elapsed:.2f} steps/s), "
@@ -715,12 +683,6 @@ def _cmd_profile(args) -> int:
     if components:
         pretty = ", ".join(f"{k}={v:.4f}" for k, v in components.items())
         print(f"objective {objective.name} (last step): {pretty}")
-    if engine is not None:
-        st = engine.stats
-        print(
-            f"compile: {st.traces} traces, {st.validations} validations, "
-            f"{st.replays} replays, {st.eager_steps} eager fallbacks"
-        )
     print()
     print(profiler.table())
     if args.json:
@@ -1068,7 +1030,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse ``argv`` (or sys.argv) and dispatch a subcommand."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except DatasetFormatError as error:
+        print(error, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..compile.tape import host_array, leaf, static_array
 from ..nn import Dropout, Embedding, FeedForward, LayerNorm, Linear, Module
 from ..perf import fused as _fused
 
@@ -98,7 +97,7 @@ class OperationAwareSelfAttention(Module):
         B, T, d = x.shape
         scale = 1.0 / np.sqrt(d)
 
-        pos = self.positions(static_array(lambda: np.broadcast_to(np.arange(T), (B, T))))  # [B, T, d]
+        pos = self.positions(np.broadcast_to(np.arange(T), (B, T)))  # [B, T, d]
         keys = x + pos  # x_j + e_{p_j}
         q = self.w_q(x)  # [B, T, d]
 
@@ -106,9 +105,7 @@ class OperationAwareSelfAttention(Module):
         scores = (q @ keys.swapaxes(-1, -2)) * scale  # [B, T, T]
         fused_dyadic = use_dyadic and _fused.fusion_enabled()
         if use_dyadic:
-            rel_ids = host_array(
-                lambda: relation_ids(seq_ops, seq_ops, self.num_ops)
-            )  # [B, T, T]
+            rel_ids = relation_ids(seq_ops, seq_ops, self.num_ops)  # [B, T, T]
             if fused_dyadic:
                 # Gather-free Shaw-style kernel: never materializes the
                 # [B, T, T, d] relation tensor (see repro.perf.fused).
@@ -117,12 +114,8 @@ class OperationAwareSelfAttention(Module):
                 rel = self.relations(rel_ids)  # [B, T, T, d]
                 scores = scores + (q.unsqueeze(2) * rel).sum(axis=3) * scale
 
-        bias = leaf(
-            lambda: np.broadcast_to(
-                np.where(seq_mask.astype(bool)[:, None, :], 0.0, _NEG_INF), (B, T, T)
-            ).copy()
-        )
-        alpha = (scores + bias).softmax(axis=-1)
+        bias = np.where(seq_mask.astype(bool)[:, None, :], 0.0, _NEG_INF)
+        alpha = (scores + Tensor(np.broadcast_to(bias, (B, T, T)).copy())).softmax(axis=-1)
 
         # Value side (Eq. 14): sum_j alpha_ij (x_j + e_{r_ij} + e_{p_j})
         z = alpha @ keys

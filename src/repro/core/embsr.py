@@ -27,7 +27,6 @@ from typing import Literal
 import numpy as np
 
 from ..autograd import Tensor, concat
-from ..compile.tape import host_array, leaf, session_graph, static_array, static_leaf
 from ..data.dataset import SessionBatch
 from ..graphs import BatchGraph
 from ..nn import GRU, Dropout, Embedding, Module
@@ -39,16 +38,6 @@ from .op_encoder import MicroOpEncoder
 __all__ = ["EMBSRConfig", "EMBSR"]
 
 EncoderKind = Literal["star_gnn", "rnn", "none"]
-
-
-def _macro_last_ops(batch: SessionBatch) -> np.ndarray:
-    """[B, n] id of each macro step's last micro-operation (0 where padded)."""
-    lengths = batch.op_mask.sum(axis=2).astype(np.int64)
-    rows = np.arange(batch.max_macro_len)
-    seq_ops = batch.ops[
-        np.arange(batch.batch_size)[:, None], rows[None, :], np.maximum(lengths - 1, 0)
-    ]
-    return seq_ops * (lengths > 0)
 AttentionKind = Literal["dyadic", "absolute", "plain", "none"]
 AttentionLevel = Literal["micro", "macro"]
 
@@ -158,18 +147,16 @@ class EMBSR(Module):
 
         if cfg.encoder == "star_gnn":
             nodes0 = self.item_embedding(graph.node_items)  # [B, c, d]
-            mask = leaf(lambda: graph.node_mask[..., None])
-            counts = leaf(
-                lambda: np.maximum(graph.node_mask.sum(axis=1, keepdims=True), 1.0)
-            )
+            mask = Tensor(graph.node_mask[..., None])
+            counts = Tensor(np.maximum(graph.node_mask.sum(axis=1, keepdims=True), 1.0))
             star0 = (nodes0 * mask).sum(axis=1) / counts  # Eq. 2
             if self.op_encoder is not None:
                 htilde = self.op_encoder(self.gru_op_embedding, batch.ops, batch.op_mask)
             else:
-                htilde = static_leaf(lambda: np.zeros((B, n, cfg.dim)))
+                htilde = Tensor(np.zeros((B, n, cfg.dim)))
             h_f, star = self.gnn(nodes0, star0, htilde, graph)
-            micro_reps = leaf(lambda: graph.micro_gather) @ h_f
-            macro_reps = leaf(lambda: graph.gather) @ h_f
+            micro_reps = Tensor(graph.micro_gather) @ h_f
+            macro_reps = Tensor(graph.gather) @ h_f
             return micro_reps, macro_reps, star
 
         if cfg.encoder == "rnn":
@@ -181,10 +168,8 @@ class EMBSR(Module):
         # encoder == "none" (EMBSR-NG): raw embeddings, mean-pooled star.
         micro_reps = self.item_embedding(batch.micro_items)
         macro_reps = self.item_embedding(batch.items)
-        m = leaf(lambda: batch.micro_mask[..., None])
-        counts = leaf(
-            lambda: np.maximum(batch.micro_mask.sum(axis=1, keepdims=True), 1.0)
-        )
+        m = Tensor(batch.micro_mask[..., None])
+        counts = Tensor(np.maximum(batch.micro_mask.sum(axis=1, keepdims=True), 1.0))
         star = (micro_reps * m).sum(axis=1) / counts
         return micro_reps, macro_reps, star
 
@@ -193,7 +178,7 @@ class EMBSR(Module):
         """[B, d] session representations m (Eq. 16) — the scoring-head queries."""
         cfg = self.config
         if graph is None and cfg.encoder == "star_gnn":
-            graph = session_graph(batch)
+            graph = BatchGraph.from_batch(batch)
         micro_reps, macro_reps, star = self._encode_items(batch, graph)
         B = batch.batch_size
 
@@ -201,13 +186,18 @@ class EMBSR(Module):
             seq_reps = micro_reps
             seq_ops = batch.micro_ops
             seq_mask = batch.micro_mask
-            last_index = host_array(lambda: batch.micro_lengths() - 1)
+            last_index = batch.micro_lengths() - 1
         else:
             seq_reps = macro_reps
             # Represent each macro step by its last micro-operation.
-            seq_ops = host_array(lambda: _macro_last_ops(batch))
+            lengths = batch.op_mask.sum(axis=2).astype(np.int64)
+            rows = np.arange(batch.max_macro_len)
+            seq_ops = batch.ops[
+                np.arange(B)[:, None], rows[None, :], np.maximum(lengths - 1, 0)
+            ]
+            seq_ops = seq_ops * (lengths > 0)
             seq_mask = batch.item_mask
-            last_index = host_array(lambda: batch.macro_lengths() - 1)
+            last_index = batch.macro_lengths() - 1
 
         # Eq. 12: x_i = e_{v_i} + e_{o_i} (operation part only when the
         # variant uses micro-operation information in the attention input).
@@ -226,12 +216,8 @@ class EMBSR(Module):
 
         if self.attention is not None:
             full_x = concat([x_star.unsqueeze(1), x_seq], axis=1)  # star at idx 0
-            full_ops = host_array(
-                lambda: np.concatenate([batch.last_op[:, None], seq_ops], axis=1)
-            )
-            full_mask = host_array(
-                lambda: np.concatenate([np.ones((B, 1)), seq_mask], axis=1)
-            )
+            full_ops = np.concatenate([batch.last_op[:, None], seq_ops], axis=1)
+            full_mask = np.concatenate([np.ones((B, 1)), seq_mask], axis=1)
             z = self.attention(
                 full_x, full_ops, full_mask, use_dyadic=cfg.attention == "dyadic"
             )
@@ -242,7 +228,7 @@ class EMBSR(Module):
             z_s = x_star
 
         # Recent interest x_t: representation of the last micro-behavior.
-        x_t = x_seq[static_array(lambda: np.arange(B)), last_index, :]
+        x_t = x_seq[np.arange(B), last_index, :]
 
         return self.fusion(z_s, x_t)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, concat
-from ..compile.tape import leaf, static_leaf
 from ..graphs import BatchGraph
 from ..nn import Linear, Module
 from ..nn.init import scaled_uniform
@@ -65,10 +64,10 @@ class StarMultigraphGNN(Module):
         B, c, d = nodes.shape
         n = graph.gather.shape[1]
         if n < 2:
-            return static_leaf(lambda: np.zeros((B, c, 2 * d)))
-        gather = leaf(lambda: graph.gather)
+            return Tensor(np.zeros((B, c, 2 * d)))
+        gather = Tensor(graph.gather)
         pos_embed = gather @ nodes  # [B, n, d] node state at each macro position
-        trans = leaf(lambda: graph.trans_mask[..., None])
+        trans = Tensor(graph.trans_mask[..., None])
 
         # Edge p: v^p -> v^{p+1}. In-message to target uses source features.
         src = concat([pos_embed[:, :-1, :], htilde[:, :-1, :]], axis=2)
@@ -77,8 +76,8 @@ class StarMultigraphGNN(Module):
         dst = concat([pos_embed[:, 1:, :], htilde[:, 1:, :]], axis=2)
         msg_out = self.msg_out(dst) * trans
 
-        agg_in = leaf(lambda: graph.scatter_in) @ msg_in  # [B, c, d]
-        agg_out = leaf(lambda: graph.scatter_out) @ msg_out
+        agg_in = Tensor(graph.scatter_in) @ msg_in  # [B, c, d]
+        agg_out = Tensor(graph.scatter_out) @ msg_out
         return concat([agg_in, agg_out], axis=2)
 
     def _update(self, nodes: Tensor, agg: Tensor) -> Tensor:
@@ -102,7 +101,7 @@ class StarMultigraphGNN(Module):
         k = self.w_k2(nodes)  # [B, c, d]
         q = self.w_q2(star).unsqueeze(1)  # [B, 1, d]
         scores = (k * q).sum(axis=2) * (1.0 / np.sqrt(d))  # [B, c]
-        bias = leaf(lambda: np.where(node_mask > 0, 0.0, -1e9))
+        bias = Tensor(np.where(node_mask > 0, 0.0, -1e9))
         beta = (scores + bias).softmax(axis=1)
         return (beta.unsqueeze(2) * nodes).sum(axis=1)  # [B, d]
 
@@ -133,7 +132,7 @@ class StarMultigraphGNN(Module):
         (h_f, star):
             Highway-mixed node states [B, c, d] and final star [B, d].
         """
-        mask = leaf(lambda: graph.node_mask[..., None])
+        mask = Tensor(graph.node_mask[..., None])
         nodes = nodes0 * mask
         star = star0
         for _ in range(self.num_layers):

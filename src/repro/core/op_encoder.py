@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..compile.tape import leaf
 from ..nn import GRU, Embedding, Module
 
 __all__ = ["MicroOpEncoder"]
@@ -57,6 +56,5 @@ class MicroOpEncoder(Module):
         htilde = final.reshape(B, n, self.dim)
         # Zero out padded macro positions (their GRU state is h0 = 0 already,
         # but the mask keeps this explicit and robust to future h0 changes).
-        dtype = htilde.data.dtype
-        macro_mask = leaf(lambda: (op_mask.sum(axis=2) > 0).astype(dtype)[..., None])
-        return htilde * macro_mask
+        macro_mask = (op_mask.sum(axis=2) > 0).astype(htilde.data.dtype)[..., None]
+        return htilde * Tensor(macro_mask)

@@ -16,15 +16,14 @@ micro-behavior structure the paper models:
 Determinism follows the stateless-stream idiom of
 :mod:`repro.parallel.sharding`: every view draws from a fresh
 ``np.random.default_rng`` seeded by a domain tag plus
-``(seed, epoch, batch, shard, retry, view)``, so eager, compiled-replay,
+``(seed, epoch, batch, shard, retry, view)``, so whole-batch,
 serial-shard, and forked-worker executions of the same step all build the
 exact same views without sharing any mutable stream.
 
 Shape discipline: an augmented view keeps the *exact* padded dimensions of
 its source batch (dropout only shortens micro rows; reorder and
 substitution are length-preserving), and each row's item multiset is
-unchanged — so session-graph node counts, and therefore every compiled
-tape shape key, are invariant under augmentation.
+unchanged — so session-graph node counts are invariant under augmentation.
 """
 
 from __future__ import annotations

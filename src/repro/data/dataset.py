@@ -166,29 +166,6 @@ def padded_dims(
     return n_max, k_max, t_max
 
 
-# Rungs for padded-length bucketing: a dimension is rounded up to the next
-# rung (then to the next multiple of the last rung beyond it). Few rungs =
-# few distinct padded shapes = few compiled tapes (repro.compile) while
-# wasting little padding on short sessions.
-_BUCKET_LADDER = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64)
-
-
-def quantize_length(value: int, ladder: Sequence[int] = _BUCKET_LADDER) -> int:
-    """Round ``value`` up to the bucketing ladder (deterministic, monotone)."""
-    if value <= 0:
-        return value
-    for rung in ladder:
-        if value <= rung:
-            return rung
-    top = ladder[-1]
-    return ((value + top - 1) // top) * top
-
-
-def bucketed_dims(dims: tuple[int, int, int]) -> tuple[int, int, int]:
-    """Quantize each padded dimension of ``padded_dims`` to the ladder."""
-    return tuple(quantize_length(d) for d in dims)
-
-
 def collate(
     examples: Sequence[MacroSession],
     max_ops_per_item: int | None = None,
@@ -288,7 +265,6 @@ class DataLoader:
         seed: int = 0,
         max_ops_per_item: int | None = 6,
         reuse_buffers: bool = False,
-        bucket_lengths: bool = False,
         prefetch: bool = False,
     ):
         if batch_size <= 0:
@@ -300,11 +276,6 @@ class DataLoader:
         self.seed = seed
         self.epoch = 0  # epoch of the *next* pass; auto-advances per __iter__
         self.max_ops_per_item = max_ops_per_item
-        # Quantize padded dims to _BUCKET_LADDER rungs. Padding is math-
-        # bearing (masked ops still run, dropout draws per padded element),
-        # so this changes the numeric trajectory and is resume-critical —
-        # but the (seed, epoch) permutation is untouched either way.
-        self.bucket_lengths = bucket_lengths
         # Opt-in: each yielded batch aliases a shared buffer pool and is
         # only valid until the next one (safe for consume-as-you-go loops
         # like Trainer.fit; NOT for `list(loader)`). See CollateBuffers.
@@ -355,33 +326,15 @@ class DataLoader:
             rng.shuffle(order)
         return order
 
-    def padded_dims_for(self, examples: Sequence[MacroSession]) -> tuple[int, int, int]:
-        """The ``(n, k, t)`` padding this loader gives ``examples``.
-
-        Shard workers call this instead of raw :func:`padded_dims` so their
-        per-shard ``pad_to`` agrees with the parent loader's bucketing.
-        """
-        dims = padded_dims(examples, self.max_ops_per_item)
-        if self.bucket_lengths:
-            dims = bucketed_dims(dims)
-        return dims
-
     def subset_dims(self, indices: Sequence[int]) -> tuple[int, int, int]:
         """The ``(n, k, t)`` padding for the examples at ``indices``.
 
-        Index-based counterpart of :meth:`padded_dims_for`: works for both
-        object and packed storage, so shard workers never have to
-        materialize examples just to measure them.
+        Works for both object and packed storage, so shard workers never
+        have to materialize examples just to measure them.
         """
         if self._packed:
-            dims = self.examples.padded_dims(indices, self.max_ops_per_item)
-        else:
-            dims = padded_dims(
-                [self.examples[i] for i in indices], self.max_ops_per_item
-            )
-        if self.bucket_lengths:
-            dims = bucketed_dims(dims)
-        return dims
+            return self.examples.padded_dims(indices, self.max_ops_per_item)
+        return padded_dims([self.examples[i] for i in indices], self.max_ops_per_item)
 
     def collate_indices(
         self,
@@ -401,8 +354,6 @@ class DataLoader:
         """
         if buffers is None:
             buffers = self._buffers
-        if pad_to is None and self.bucket_lengths:
-            pad_to = self.subset_dims(indices)
         if self._packed:
             return self.examples.collate(
                 indices,

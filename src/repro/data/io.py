@@ -28,6 +28,7 @@ from .preprocess import PreparedDataset
 from .schema import Interaction, MacroSession, OperationVocab, Session
 
 __all__ = [
+    "DatasetFormatError",
     "EventLogFormat",
     "load_event_log",
     "iter_event_log",
@@ -265,11 +266,37 @@ def save_prepared_dataset(dataset: PreparedDataset, path: str | pathlib.Path) ->
     pathlib.Path(path).write_text(json.dumps(payload))
 
 
+class DatasetFormatError(ValueError):
+    """A file given as a prepared dataset is some other kind of file."""
+
+
+_PREPARED_KEYS = ("name", "operations", "item_ids", "splits")
+
+
 def load_prepared_dataset(path: str | pathlib.Path) -> PreparedDataset:
-    """Inverse of :func:`save_prepared_dataset`."""
+    """Inverse of :func:`save_prepared_dataset`.
+
+    Raises :class:`DatasetFormatError` when ``path`` does not hold the
+    JSON object :func:`save_prepared_dataset` writes (raw session JSONL,
+    an empty file, a directory, ...).
+    """
     from .preprocess import ItemVocab
 
-    payload = json.loads(pathlib.Path(path).read_text())
+    def wrong_kind(problem) -> DatasetFormatError:
+        return DatasetFormatError(
+            f"cannot load {path}: expected a prepared dataset (.json from "
+            f"`repro prepare`) or a packed .rpk; {problem}"
+        )
+
+    try:
+        payload = json.loads(pathlib.Path(path).read_text())
+    except (IsADirectoryError, ValueError) as error:
+        raise wrong_kind(error) from error
+    if not isinstance(payload, dict):
+        raise wrong_kind(f"found a JSON {type(payload).__name__}")
+    missing = [key for key in _PREPARED_KEYS if key not in payload]
+    if missing:
+        raise wrong_kind(f"missing key(s) {', '.join(missing)}")
     vocab = ItemVocab(payload["item_ids"])
     splits = {
         split: [_macro_from_dict(r) for r in records]

@@ -4,8 +4,8 @@
 objects walked by a nested Python loop in :func:`~repro.data.dataset.collate`.
 That representation is flexible but it is both the RAM ceiling at
 million-session scale (every session is dozens of heap objects) and, after
-the fused kernels and the compiled tape, the dominant per-step cost for the
-fast models: collation time is pure interpreter overhead.
+the fused kernels, the dominant per-step cost for the fast models:
+collation time is pure interpreter overhead.
 
 This module stores a dataset **columnarly** instead, in CSR-style ragged
 arrays:

@@ -28,9 +28,6 @@ MODEL_NAMES = list(TABLE3_MODELS)
 # and the worker count (parallelism changes wall-clock, never the math;
 # the math-bearing knob, grad_shards, IS portable) have no business
 # inside a portable ModelSpec.
-# ``compile`` joins them: trace/replay execution is bitwise the eager
-# step, so it is an execution detail like the worker count.
-# ``bucket_lengths`` stays portable — bucketed padding changes the math.
 # ``packed``/``prefetch`` are execution-only too: columnar collation is
 # bitwise the loop collate and prefetch only overlaps it with the step.
 _NON_PORTABLE_TRAIN_FIELDS = frozenset(
@@ -40,7 +37,6 @@ _NON_PORTABLE_TRAIN_FIELDS = frozenset(
         "resume_from",
         "verbose",
         "workers",
-        "compile",
         "packed",
         "prefetch",
     }
@@ -69,9 +65,6 @@ class ExperimentConfig:
     # Data-parallel training (docs/performance.md, "Parallelism").
     workers: int = 1
     grad_shards: int = 0  # 0 = auto (follows workers); 1 = classic path
-    # Compiled training step (docs/performance.md, "Compiled step").
-    compile: bool = False
-    bucket_lengths: bool = False
     # Packed data pipeline (docs/data.md): columnar storage + vectorized
     # collate, and double-buffered background collation.
     packed: bool = False
@@ -99,8 +92,6 @@ class ExperimentConfig:
             resume_from=self.resume_from,
             workers=self.workers,
             grad_shards=self.grad_shards,
-            compile=self.compile,
-            bucket_lengths=self.bucket_lengths,
             packed=self.packed,
             prefetch=self.prefetch,
             **overrides,
@@ -179,7 +170,6 @@ class ExperimentRunner:
             checkpoint_every=cfg.checkpoint_every,
             resume_from=cfg.resume_from,
             workers=cfg.workers,
-            compile=cfg.compile,
             packed=cfg.packed,
             prefetch=cfg.prefetch,
         )

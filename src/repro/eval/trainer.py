@@ -57,12 +57,6 @@ _RESUME_CRITICAL_FIELDS = (
     "seed",
     "dtype",
     "grad_shards",
-    # Padded-length bucketing changes padded shapes, and padding is
-    # math-bearing (masked positions still draw dropout), so a resumed run
-    # must keep the same bucketing choice. ``compile`` is deliberately
-    # absent: trace/replay is bitwise the eager step, so it may toggle
-    # freely across restarts.
-    "bucket_lengths",
     # The objective IS the math being optimized: resuming a run under a
     # different objective (or auxiliary weight) would silently train a
     # different model while reporting the old identity.
@@ -104,9 +98,6 @@ class TrainConfig:
     # between (or during) runs.
     packed: bool = False       # columnar storage + zero-loop vectorized collate
     prefetch: bool = False     # double-buffered background collation
-    # -- compiled-step knobs (docs/performance.md, "Compiled step") --------
-    compile: bool = False      # trace/validate/replay training steps (bitwise-safe)
-    bucket_lengths: bool = False  # quantize padded dims so tape shape keys repeat
     grad_shards: int = 0       # summation-tree grid; 0 = auto (max(workers, 1)).
                                # 1 trains the classic whole-batch path bit-for-bit;
                                # G > 1 is bit-identical across ANY worker count.
@@ -213,7 +204,14 @@ class Trainer:
         # checkpoint trained with — resuming never silently changes math.
         saved = dict(saved)
         saved.setdefault("grad_shards", 1)
-        saved.setdefault("bucket_lengths", False)  # pre-bucketing checkpoints
+        if saved.get("bucket_lengths"):
+            # Padding is math-bearing (masked positions still draw dropout),
+            # and the ladder that produced this run's padded shapes is gone.
+            raise ValueError(
+                f"cannot resume from {path}: the state was trained with "
+                "bucket_lengths=True, an option that no longer exists, so its "
+                "padding cannot be reproduced"
+            )
         # Pre-objective checkpoints trained plain cross-entropy.
         saved.setdefault("objective", "ce")
         saved.setdefault("cl_weight", 0.1)
@@ -265,8 +263,7 @@ class Trainer:
         if workers <= 1:
             return (
                 SerialShardExecutor(
-                    self.model, grad_shards=grad_shards, seed=cfg.seed,
-                    compile=cfg.compile, objective=self.objective,
+                    self.model, grad_shards=grad_shards, seed=cfg.seed, objective=self.objective
                 ),
                 None,
             )
@@ -279,18 +276,9 @@ class Trainer:
             dtype=cfg.dtype,
             eval_splits={"validation": dataset.validation},
             num_items=dataset.num_items,
-            compile=cfg.compile,
             objective=self.objective,
         )
         return engine, engine
-
-    def _make_compiled(self):
-        """A :class:`~repro.compile.step.CompileEngine` when enabled, else None."""
-        if not self.config.compile:
-            return None
-        from ..compile.step import CompileEngine
-
-        return CompileEngine(self.model, objective=self.objective)
 
     def _run(self, dataset: PreparedDataset, state: TrainingState | None) -> "Trainer":
         cfg = self.config
@@ -309,7 +297,6 @@ class Trainer:
             seed=cfg.seed,
             max_ops_per_item=cfg.max_ops_per_item,
             reuse_buffers=True,  # batches are consumed before the next collate
-            bucket_lengths=cfg.bucket_lengths,
             prefetch=cfg.prefetch,
         )
         if self.objective is None:
@@ -319,7 +306,6 @@ class Trainer:
                 num_ops=dataset.num_operations,
             )
         grad_shards = self._resolved_grad_shards(state)
-        compiled = self._make_compiled() if grad_shards <= 1 else None
 
         best_metric = -np.inf
         best_state: dict[str, np.ndarray] | None = None
@@ -398,7 +384,6 @@ class Trainer:
                     loss_value, components = self._train_batch(
                         batch, optimizer, watchdog,
                         epoch=epoch, batch_index=batch_index, executor=executor,
-                        compiled=compiled,
                     )
                     global_step += 1
                     losses.append(loss_value)
@@ -451,7 +436,6 @@ class Trainer:
         epoch: int,
         batch_index: int,
         executor=None,
-        compiled=None,
     ) -> tuple[float, dict]:
         """One optimization step, retried under the divergence watchdog.
 
@@ -471,16 +455,7 @@ class Trainer:
             ctx = StepContext(
                 seed=cfg.seed, epoch=epoch, batch_index=batch_index, shard=0, retry=retry
             )
-            if executor is None and compiled is not None:
-                # The engine guarantees replayed steps are bitwise the eager
-                # forward/backward (validated per shape key, transactional
-                # fallback otherwise), so this branch trains the exact
-                # classic trajectory.
-                loss = _LossProbe(compiled.step(batch, ctx=ctx))
-                failpoint("trainer.loss", loss)
-                loss_value = float(loss.item())
-                components = dict(compiled.last_components)
-            elif executor is None:
+            if executor is None:
                 self.objective.begin_step(ctx)
                 parts = self.objective.compute(self.model, batch)
                 loss = parts.loss

@@ -54,11 +54,9 @@ class BatchGraph:
     def from_batch(cls, batch: SessionBatch) -> "BatchGraph":
         """Build graph arrays for every session in ``batch``.
 
-        Fully vectorized — a compiled replay (``repro.compile``) rebuilds
-        the graph from refreshed batch buffers on every step, so this is
-        on the per-step hot path, not just in the data pipeline. The
-        per-row reference construction is kept as
-        :meth:`_from_batch_loops` and asserted equal in
+        Fully vectorized: the models build one graph per forward, so this
+        is on the per-step hot path. The per-row reference construction is
+        kept as :meth:`_from_batch_loops` and asserted equal in
         ``tests/graphs/test_batch_graph.py``.
         """
         items, item_mask = batch.items, batch.item_mask

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..compile import tape as _tape
 from ..perf import fused as _fused
 from .init import scaled_uniform, zeros
 from .module import Module, Parameter
@@ -101,12 +100,8 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        # ``self.rng`` is read inside the closure, not captured: a compiled
-        # replay (repro.compile) re-draws the mask from whatever generator is
-        # installed at replay time, consuming the stream exactly as eagerly —
-        # this also keeps shard_rng swaps visible to replays.
-        mask = _tape.leaf(lambda: (self.rng.random(x.shape) < keep) / keep)
-        return x * mask
+        mask = (self.rng.random(x.shape) < keep) / keep
+        return x * Tensor(mask)
 
 
 class FeedForward(Module):

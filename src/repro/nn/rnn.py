@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, stack
-from ..compile import tape as _tape
 from ..perf import fused as _fused
 from .init import scaled_uniform, zeros
 from .module import Module, Parameter
@@ -88,8 +87,7 @@ class GRU(Module):
             empty = Tensor(np.zeros((batch, 0, self.hidden_dim), dtype=x.data.dtype))
             return empty, h0 if h0 is not None else self._zero_state(x)
         if mask is not None:
-            raw_mask = mask
-            mask = _tape.host_array(lambda: raw_mask != 0)
+            mask = mask != 0
         if _fused.fusion_enabled():
             cell = self.cell
             outputs = _fused.gru_sequence(

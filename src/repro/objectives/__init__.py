@@ -1,11 +1,10 @@
 """Composable training objectives (docs/objectives.md).
 
-Every training path — eager :class:`~repro.eval.Trainer` batches, the
-compiled :class:`~repro.compile.CompileEngine` step, the shard-grid
-executors of :mod:`repro.parallel`, and the online mini-trainer in
-:mod:`repro.deploy` — consumes an :class:`Objective` instead of inlining
-a loss expression. :func:`build_objective` maps the ``TrainConfig``
-``objective`` name to a concrete instance.
+Every training path — :class:`~repro.eval.Trainer` batches, the
+shard-grid executors of :mod:`repro.parallel`, and the online
+mini-trainer in :mod:`repro.deploy` — consumes an :class:`Objective`
+instead of inlining a loss expression. :func:`build_objective` maps the
+``TrainConfig`` ``objective`` name to a concrete instance.
 """
 
 from __future__ import annotations

@@ -1,12 +1,9 @@
-"""The composable training-objective seam shared by all four training paths.
+"""The composable training-objective seam shared by all three training paths.
 
-Before this package existed the training objective was the literal
-expression ``cross_entropy(model(batch), batch.target_classes)`` inlined
-into four places — the eager trainer, the compiled step engine, the shard
-executors, and the online mini-trainer — so adding any auxiliary loss
-meant copy-pasting it four times and keeping the copies bit-identical by
-hand. An :class:`Objective` owns that expression instead: every path asks
-it for ``(scalar loss, named component losses)`` and stays agnostic of
+The trainer, the shard executors, and the online mini-trainer each ask
+an :class:`Objective` for ``(scalar loss, named component losses)``
+instead of inlining ``cross_entropy(model(batch), batch.target_classes)``,
+so an auxiliary loss is written once and every path stays agnostic of
 *what* is being optimized.
 
 Contracts every objective must honor (docs/objectives.md):
@@ -15,13 +12,8 @@ Contracts every objective must honor (docs/objectives.md):
   parameters, the batch content, the module RNG streams it consumes, and
   the :class:`StepContext` installed by ``begin_step``. Any extra
   randomness must come from *stateless* generators keyed by the context
-  (see :func:`repro.data.augment.view_generator`) so eager, compiled,
+  (see :func:`repro.data.augment.view_generator`) so whole-batch,
   serial-shard, and forked-worker executions of a step agree bitwise.
-* **Tape compatibility.** Batch-derived raw arrays fed into graph ops
-  must be routed through :func:`repro.compile.host_array` /
-  :func:`repro.compile.static_array` so a traced step replays against
-  refreshed buffers. An objective that cannot satisfy this simply fails
-  the tape audit and trains eagerly — never incorrectly.
 * **Shard decomposability.** With ``total`` set (the full batch's row
   count), the fixed-order sum of per-shard losses must equal the
   whole-batch loss, mirroring :func:`repro.nn.cross_entropy`'s ``total``
@@ -33,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..autograd.tensor import Tensor
-from ..compile.tape import host_array
 from ..nn.loss import cross_entropy
 
 __all__ = [
@@ -51,8 +42,7 @@ class StepContext:
 
     Mirrors the seeding tuple of the shard dropout streams: everything an
     objective needs to rebuild step-local randomness (augmented views)
-    identically in any process, including compiled replays that never go
-    through ``compute`` again.
+    identically in any process.
     """
 
     seed: int = 0
@@ -67,9 +57,7 @@ class ObjectiveParts:
     """One step's loss tensor plus its named scalar component tensors.
 
     ``components`` values are live graph tensors (often aliasing ``loss``
-    or its addends); callers read ``float(t.data)`` *after* the step so
-    compiled replays — which refresh tensor buffers in place — surface
-    fresh per-component values without recomputation.
+    or its addends); callers read ``float(t.data)`` after the step.
     """
 
     loss: Tensor
@@ -98,8 +86,7 @@ class Objective:
     def begin_step(self, ctx: StepContext | None) -> None:
         """Install the step coordinates consumed by stateless randomness.
 
-        Called once per forward — including before compiled *replays*,
-        whose host slots re-run builders that read ``self._ctx``.
+        Called once per forward, before :meth:`compute`.
         """
         if ctx is not None:
             self._ctx = ctx
@@ -119,12 +106,7 @@ class Objective:
 class CrossEntropyObjective(Objective):
     """The paper's objective (Eq. 20): softmax cross-entropy over items.
 
-    Graph-identical to the expression the training paths used to inline,
-    so refactored runs train bit-identical parameters. ``target_classes``
-    is routed through :func:`~repro.compile.host_array` because the
-    :class:`~repro.data.dataset.SessionBatch` property allocates a fresh
-    array per access — under a tape it becomes a registered, per-replay
-    refreshed buffer.
+    Graph-identical to ``cross_entropy(model(batch), batch.target_classes)``.
     """
 
     name = "ce"
@@ -132,8 +114,7 @@ class CrossEntropyObjective(Objective):
 
     def compute(self, model, batch, *, total: int | None = None) -> ObjectiveParts:
         logits = model(batch)
-        targets = host_array(lambda: batch.target_classes)
-        loss = cross_entropy(logits, targets, total=total)
+        loss = cross_entropy(logits, batch.target_classes, total=total)
         return ObjectiveParts(loss, {"ce": loss})
 
 

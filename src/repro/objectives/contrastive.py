@@ -5,29 +5,19 @@ Two deterministically augmented views of every batch (see
 ``encode_sessions`` seam; matching rows are positives, every other row in
 the batch is a negative. The similarity matrix is temperature-scaled
 cosine similarity, and the symmetric loss reuses the fused
-:func:`~repro.nn.cross_entropy` kernel against the diagonal — which is
-exactly the tape-compatible log-softmax path, so ``--compile`` traces and
-replays the whole contrastive term.
+:func:`~repro.nn.cross_entropy` kernel against the diagonal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import tensor as _tensor
-from ..compile.tape import static_array
 from ..data.augment import AugmentConfig, augment_batch, view_generator
 from ..data.dataset import SessionBatch
 from ..nn.loss import cross_entropy
 from .base import Objective, ObjectiveParts
 
 __all__ = ["InfoNCEObjective"]
-
-_VIEW_FIELDS = (
-    "items", "item_mask", "ops", "op_mask",
-    "micro_items", "micro_ops", "micro_mask", "last_op", "targets",
-)
-
 
 class InfoNCEObjective(Objective):
     """Contrastive alignment of two augmented views of each session.
@@ -69,36 +59,10 @@ class InfoNCEObjective(Objective):
 
     # ------------------------------------------------------------------
     def _view(self, batch: SessionBatch, view: int) -> SessionBatch:
-        """One augmented view, tape-safely.
-
-        Eagerly this is a plain rebuild. Under a tape the view's arrays
-        become persistent registered buffers plus one host slot that
-        re-runs the (pure) builder against the refreshed source batch and
-        the *current* step context — so replays of later batches augment
-        with their own coordinates, not the traced step's.
-        """
-
-        def build() -> dict[str, np.ndarray]:
-            ctx = self._ctx
-            rng = view_generator(
-                ctx.seed, ctx.epoch, ctx.batch_index, ctx.shard, ctx.retry, view
-            )
-            return augment_batch(batch, rng, self.num_ops, self.augment)
-
-        tape = _tensor._TAPE
-        if tape is None:
-            return SessionBatch(**build())
-        arrays = build()
-        for name in _VIEW_FIELDS:
-            tape.register(arrays[name])
-
-        def slot() -> None:
-            fresh = build()
-            for name in _VIEW_FIELDS:
-                np.copyto(arrays[name], fresh[name])
-
-        tape.add_host(f"augment_view{view}", slot)
-        return SessionBatch(**arrays)
+        """One augmented view, seeded by the current step context."""
+        ctx = self._ctx
+        rng = view_generator(ctx.seed, ctx.epoch, ctx.batch_index, ctx.shard, ctx.retry, view)
+        return SessionBatch(**augment_batch(batch, rng, self.num_ops, self.augment))
 
     def compute(self, model, batch, *, total: int | None = None) -> ObjectiveParts:
         encode = getattr(model, "encode_sessions", None)
@@ -110,10 +74,7 @@ class InfoNCEObjective(Objective):
         z1 = encode(self._view(batch, 0)).l2_normalize(axis=-1)
         z2 = encode(self._view(batch, 1)).l2_normalize(axis=-1)
         logits = (z1 @ z2.T) * (1.0 / self.temperature)
-        rows = batch.batch_size
-        # Shape-only (arange of the row count): static under a tape, since
-        # the row count is part of the compile shape key.
-        targets = static_array(lambda: np.arange(rows, dtype=np.int64))
+        targets = np.arange(batch.batch_size, dtype=np.int64)
         loss = (
             cross_entropy(logits, targets, total=total)
             + cross_entropy(logits.T, targets, total=total)

@@ -13,13 +13,8 @@ num_ops]`` scores over real operations, one row per padded micro position
 the operation at ``t+1`` from the GRU state at ``t``. Normalization is
 per-session (the transition-NLL sum divided by the batch's row count), so
 the loss decomposes over the shard grid exactly like cross-entropy with
-``total``.
-
-This objective gathers a content-driven number of transitions per batch,
-so it is deliberately *not* tape-compatible: under ``--compile`` the tape
-audit rejects the trace (unregistered gather operands) and the step
-trains eagerly — which matches MKM-SR itself, whose direct session-graph
-construction already keeps it on the eager path.
+``total``. The number of transitions gathered is content-driven, so the
+``picked`` logits' height varies from batch to batch.
 """
 
 from __future__ import annotations

@@ -88,19 +88,6 @@ class WorkerError(RuntimeError):
     """A data-parallel worker failed or died; tracebacks are on stderr."""
 
 
-def _make_compiled(model, enabled: bool, objective=None):
-    """A fresh :class:`~repro.compile.step.CompileEngine`, or ``None``.
-
-    Imported lazily so the parallel engine has no hard dependency on the
-    compile package at import time.
-    """
-    if not enabled:
-        return None
-    from ..compile.step import CompileEngine
-
-    return CompileEngine(model, objective=objective)
-
-
 def _default_objective():
     """The cross-entropy objective, imported lazily (same cycle-avoidance)."""
     from ..objectives import CrossEntropyObjective
@@ -133,10 +120,7 @@ class SerialShardExecutor:
     run checkpointed under N workers can resume anywhere.
     """
 
-    def __init__(
-        self, model, *, grad_shards: int, seed: int, compile: bool = False,
-        objective=None,
-    ) -> None:
+    def __init__(self, model, *, grad_shards: int, seed: int, objective=None) -> None:
         if grad_shards < 1:
             raise ValueError("grad_shards must be >= 1")
         self.model = model
@@ -145,7 +129,6 @@ class SerialShardExecutor:
         self.objective = objective if objective is not None else _default_objective()
         self.last_components: dict[str, float] = {}
         self._component_names = tuple(self.objective.component_names)
-        self._compiled = _make_compiled(model, compile, self.objective)
         self._layout = ParamLayout(model.parameters())
         self._rng_modules = collect_rng_modules(model)
         total = self._layout.total
@@ -185,22 +168,13 @@ class SerialShardExecutor:
             )
             generator = shard_generator(self.seed, epoch, batch_index, s, retry)
             with shard_rng(self._rng_modules, generator):
-                if self._compiled is not None:
-                    # Trace/validate/replay is bitwise the eager step (the
-                    # engine enforces it), so sharded compiled runs keep the
-                    # parity contract with the multi-process engine.
-                    self._losses[s] = self._compiled.step(shard, total=total_rows, ctx=ctx)
-                    comp = self._compiled.last_components
-                    for j, name in enumerate(self._component_names):
-                        self._components[s, j] = comp.get(name, 0.0)
-                else:
-                    self.objective.begin_step(ctx)
-                    parts = self.objective.compute(self.model, shard, total=total_rows)
-                    self._losses[s] = float(parts.loss.item())
-                    parts.loss.backward()
-                    values = parts.component_values()
-                    for j, name in enumerate(self._component_names):
-                        self._components[s, j] = values.get(name, 0.0)
+                self.objective.begin_step(ctx)
+                parts = self.objective.compute(self.model, shard, total=total_rows)
+                self._losses[s] = float(parts.loss.item())
+                parts.loss.backward()
+                values = parts.component_values()
+                for j, name in enumerate(self._component_names):
+                    self._components[s, j] = values.get(name, 0.0)
             self._layout.write_grads(self._grads[s])
         reduce_shards(self._grads, self._acc)
         self._layout.assign_grads(self._acc)
@@ -239,7 +213,6 @@ class DataParallelEngine:
         eval_splits: dict | None = None,
         num_items: int = 0,
         timeout: float = 600.0,
-        compile: bool = False,
         objective=None,
     ) -> None:
         if workers < 2:
@@ -256,7 +229,6 @@ class DataParallelEngine:
         self.dtype = dtype
         self.timeout = timeout
         self.num_items = num_items
-        self.compile = compile
         # Resolved before the fork so every worker inherits the identical
         # objective instance (weights, augment knobs, component order).
         self.objective = objective if objective is not None else _default_objective()
@@ -464,9 +436,6 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
     layout = engine._layout
     layout.bind_params(engine._params)
     rng_modules = collect_rng_modules(engine.model)
-    # Each worker owns its own tape cache: shapes repeat per worker just
-    # like per process, and tapes hold process-local buffer references.
-    compiled = _make_compiled(engine.model, engine.compile, engine.objective)
     buffers = CollateBuffers()
     shard_lo, shard_hi = shard_bounds(engine.grad_shards, engine.workers)[worker_id]
     order_cache: dict[int, np.ndarray] = {}
@@ -496,7 +465,7 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
                     if cmd == _CMD_TRAIN:
                         _worker_train(
                             engine, rng_modules, buffers, order_cache,
-                            shard_lo, shard_hi, compiled,
+                            shard_lo, shard_hi,
                             epoch=int(ctrl[1]), batch_index=int(ctrl[2]), retry=int(ctrl[3]),
                         )
                     elif cmd == _CMD_EVAL:
@@ -519,7 +488,6 @@ def _worker_train(
     order_cache: dict,
     shard_lo: int,
     shard_hi: int,
-    compiled,
     *,
     epoch: int,
     batch_index: int,
@@ -562,19 +530,13 @@ def _worker_train(
         )
         generator = shard_generator(engine.seed, epoch, batch_index, s, retry)
         with shard_rng(rng_modules, generator):
-            if compiled is not None:
-                engine._losses[s] = compiled.step(shard, total=total_rows, ctx=ctx)
-                comp = compiled.last_components
-                for j, name in enumerate(names):
-                    engine._components[s, j] = comp.get(name, 0.0)
-            else:
-                engine.objective.begin_step(ctx)
-                parts = engine.objective.compute(model, shard, total=total_rows)
-                engine._losses[s] = float(parts.loss.item())
-                parts.loss.backward()
-                values = parts.component_values()
-                for j, name in enumerate(names):
-                    engine._components[s, j] = values.get(name, 0.0)
+            engine.objective.begin_step(ctx)
+            parts = engine.objective.compute(model, shard, total=total_rows)
+            engine._losses[s] = float(parts.loss.item())
+            parts.loss.backward()
+            values = parts.component_values()
+            for j, name in enumerate(names):
+                engine._components[s, j] = values.get(name, 0.0)
         layout.write_grads(engine._grads[s])
 
 

@@ -99,8 +99,6 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         return Tensor(out_data)
 
     def backward() -> None:
-        # Read .data at call time: optimizers rebind parameter arrays, and a
-        # replayed tape runs this closure across many steps.
         g = out.grad
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.data.T))
@@ -114,14 +112,6 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor._make(out_data, parents, backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            np.matmul(x.data, weight.data, out=out_data)
-            if bias is not None:
-                np.add(out_data, bias.data, out=out_data)
-
-        _tensor._TAPE._record(out, replay)
     return out
 
 
@@ -213,25 +203,6 @@ def gru_cell(
             b_hh._accumulate(dgh.sum(axis=0))
 
     out = Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            # Refresh the gate activations captured by the backward closure.
-            h_new2, z2, r2, n2, gh_n2 = _gru_forward_step(
-                x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, d
-            )
-            np.copyto(z, z2)
-            np.copyto(r, r2)
-            np.copyto(n, n2)
-            np.copyto(gh_n, gh_n2)
-            if mask_col is not None:
-                np.multiply(mask_col, h_new2, out=out_data)
-                np.add(out_data, (1.0 - mask_col) * h.data, out=out_data)
-            else:
-                np.copyto(out_data, h_new2)
-
-        operands = () if mask_col is None else (mask_col,)
-        _tensor._TAPE._record(out, replay, operands=operands)
     return out
 
 
@@ -261,7 +232,7 @@ def gru_sequence(
     B, T, _ = x.data.shape
     d = w_hh.data.shape[0]
     dtype = x.data.dtype
-    h_zero = np.zeros((B, d), dtype=dtype) if h0 is None else None
+    h_first = np.zeros((B, d), dtype=dtype) if h0 is None else h0.data
     out_data = np.empty((B, T, d), dtype=dtype)
     gi = np.empty((B, 3 * d), dtype=dtype)
     gh = np.empty_like(gi)
@@ -269,40 +240,32 @@ def gru_sequence(
     steps: list = [None] * T
     every = slice(None)  # ``rows`` of a step where all B rows are valid
 
-    def run_forward() -> None:
-        # Reads ``.data`` and ``mask`` at call time: it is also the tape's
-        # replay slot, and optimizers rebind parameter arrays.
-        x_data = x.data
-        w_ih_d, w_hh_d, b_ih_d, b_hh_d = w_ih.data, w_hh.data, b_ih.data, b_hh.data
-        h_prev = h0.data if h0 is not None else h_zero
-        for t in range(T):
-            rows = every if mask is None else np.flatnonzero(mask[:, t])
-            if rows is not every and rows.size == B:
-                rows = every
-            out_data[:, t] = h_prev
-            steps[t] = None
-            if rows is every or rows.size:
-                a = np.matmul(x_data[:, t], w_ih_d, out=gi)[rows]
-                b = np.matmul(h_prev, w_hh_d, out=gh)[rows]
-                a += b_ih_d
-                b += b_hh_d
-                zr = _stable_sigmoid(a[:, : 2 * d] + b[:, : 2 * d])
-                z, r = zr[:, :d], zr[:, d:]
-                # An index array copied the rows; ``every`` is a view of the
-                # workspace, which the next step overwrites.
-                gh_n = b[:, 2 * d :].copy() if rows is every else b[:, 2 * d :]
-                n = np.tanh(a[:, 2 * d :] + r * gh_n)
-                out_data[rows, t] = (1.0 - z) * n + z * h_prev[rows]
-                steps[t] = (rows, zr, n, gh_n)
-            h_prev = out_data[:, t]
-
-    run_forward()
+    x_data = x.data
+    w_ih_d, w_hh_d, b_ih_d, b_hh_d = w_ih.data, w_hh.data, b_ih.data, b_hh.data
+    h_prev = h_first
+    for t in range(T):
+        rows = every if mask is None else np.flatnonzero(mask[:, t])
+        if rows is not every and rows.size == B:
+            rows = every
+        out_data[:, t] = h_prev
+        if rows is every or rows.size:
+            a = np.matmul(x_data[:, t], w_ih_d, out=gi)[rows]
+            b = np.matmul(h_prev, w_hh_d, out=gh)[rows]
+            a += b_ih_d
+            b += b_hh_d
+            zr = _stable_sigmoid(a[:, : 2 * d] + b[:, : 2 * d])
+            z, r = zr[:, :d], zr[:, d:]
+            # An index array copied the rows; ``every`` is a view of the
+            # workspace, which the next step overwrites.
+            gh_n = b[:, 2 * d :].copy() if rows is every else b[:, 2 * d :]
+            n = np.tanh(a[:, 2 * d :] + r * gh_n)
+            out_data[rows, t] = (1.0 - z) * n + z * h_prev[rows]
+            steps[t] = (rows, zr, n, gh_n)
+        h_prev = out_data[:, t]
     if not _tracking(x, h0, w_ih, w_hh, b_ih, b_hh):
         return Tensor(out_data)
 
     def backward() -> None:
-        x_data = x.data
-        w_ih_d, w_hh_d = w_ih.data, w_hh.data
         g_out = out.grad  # [B, T, d]
         d_w_ih = np.zeros_like(w_ih_d) if w_ih.requires_grad else None
         d_w_hh = np.zeros_like(w_hh_d) if w_hh.requires_grad else None
@@ -322,7 +285,7 @@ def gru_sequence(
                 continue  # the state passed through: so does its gradient
             rows, zr, n, gh_n = steps[t]
             z, r = zr[:, :d], zr[:, d:]
-            h_before = out_data[:, t - 1] if t > 0 else (h0.data if h0 is not None else h_zero)
+            h_before = out_data[:, t - 1] if t > 0 else h_first
             g = dh[rows]
             dn_pre = g * (1.0 - z) * (1.0 - n * n)
             pre = pre_rows[: len(g)]
@@ -363,8 +326,6 @@ def gru_sequence(
 
     parents = (x, w_ih, w_hh, b_ih, b_hh) if h0 is None else (x, w_ih, w_hh, b_ih, b_hh, h0)
     out = Tensor._make(out_data, parents, backward)
-    if _tensor._TAPE is not None:
-        _tensor._TAPE._record(out, run_forward, operands=() if mask is None else (mask,))
     return out
 
 
@@ -397,7 +358,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     reused across steps — embedding tables are the largest tensors in
     every model here, so this is the single biggest allocation saved.
     """
-    idx_src = indices
     indices = np.asarray(indices, dtype=np.int64)
     out_data = np.take(weight.data, indices, axis=0)
     if not _tracking(weight):
@@ -424,15 +384,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         _scatter_add_rows(weight.grad, indices, g)
 
     out = Tensor._make(out_data, (weight,), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if idx_src is not indices:
-                # the int64 cast copied; refresh it from the live source
-                np.copyto(indices, idx_src, casting="unsafe")
-            np.take(weight.data, indices, axis=0, out=out_data)
-
-        _tensor._TAPE._record(out, replay, operands=(idx_src,))
     return out
 
 
@@ -461,7 +412,6 @@ def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
     scalars. Same math, different summation order — parity with the
     composed version holds to roundoff, not bit-exactly.
     """
-    ids_src = rel_ids
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
     projected = np.matmul(q.data, table.data.T)  # [B, T, R]
@@ -479,15 +429,6 @@ def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
             table._accumulate(flat.T @ q_data.reshape(-1, q_data.shape[-1]))
 
     out = Tensor._make(out_data, (q, table), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if ids_src is not rel_ids:
-                np.copyto(rel_ids, ids_src, casting="unsafe")
-            np.matmul(q.data, table.data.T, out=projected)
-            np.copyto(out_data, np.take_along_axis(projected, rel_ids, axis=2))
-
-        _tensor._TAPE._record(out, replay, operands=(ids_src,))
     return out
 
 
@@ -499,7 +440,6 @@ def relation_values(alpha: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor
     gather, no giant broadcast multiply, and the backward scatters scalars
     instead of d-vectors.
     """
-    ids_src = rel_ids
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
     bucketed = _scatter_relations(alpha.data, rel_ids, R)  # [B, T, R]
@@ -516,15 +456,6 @@ def relation_values(alpha: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor
             table._accumulate(bucketed.reshape(-1, R).T @ g.reshape(-1, g.shape[-1]))
 
     out = Tensor._make(out_data, (alpha, table), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if ids_src is not rel_ids:
-                np.copyto(rel_ids, ids_src, casting="unsafe")
-            np.copyto(bucketed, _scatter_relations(alpha.data, rel_ids, R))
-            np.matmul(bucketed, table.data, out=out_data)
-
-        _tensor._TAPE._record(out, replay, operands=(ids_src,))
     return out
 
 
@@ -543,7 +474,6 @@ def log_softmax_nll(logits: Tensor, targets: np.ndarray, total: int | None = Non
     divide by the full batch size, so summing shard losses in fixed order
     reproduces the whole-batch mean objective.
     """
-    tgt_src = targets
     targets = np.asarray(targets, dtype=np.int64)
     batch = logits.data.shape[0]
     divisor = batch if total is None else int(total)
@@ -565,20 +495,4 @@ def log_softmax_nll(logits: Tensor, targets: np.ndarray, total: int | None = Non
         logits._accumulate(d_logits)
 
     out = Tensor._make(np.asarray(out_data), (logits,), backward)
-    if _tensor._TAPE is not None:
-        dst = out.data  # 0-d loss buffer
-
-        def replay() -> None:
-            if tgt_src is not targets:
-                np.copyto(targets, tgt_src, casting="unsafe")
-            ld = logits.data
-            np.subtract(ld, ld.max(axis=1, keepdims=True), out=shifted)
-            np.log(np.exp(shifted).sum(axis=1, keepdims=True), out=lse)
-            lpt = shifted[rows, targets] - lse[:, 0]
-            if divisor == batch:
-                dst[...] = -lpt.mean()
-            else:
-                dst[...] = -(lpt.sum() / divisor)
-
-        _tensor._TAPE._record(out, replay, operands=(tgt_src,))
     return out

@@ -72,7 +72,6 @@ class OpProfiler:
         self.node_counts: Counter[str] = Counter()
         self.backward_stats: dict[str, list] = {}  # name -> [calls, seconds]
         self.module_stats: dict[str, list] = {}  # class -> [calls, cum, self]
-        self.replay_stats: dict[str, list] = {}  # slot name -> [calls, seconds]
         # Timeline of (category, name, start_s, duration_s) tuples relative
         # to _origin; exported by dump_trace() in chrome://tracing format.
         self.events: list[tuple[str, str, float, float]] = []
@@ -109,7 +108,6 @@ class OpProfiler:
         self.node_counts.clear()
         self.backward_stats.clear()
         self.module_stats.clear()
-        self.replay_stats.clear()
         self.events.clear()
         self._origin = time.perf_counter()
         self._stack.clear()
@@ -128,23 +126,6 @@ class OpProfiler:
         stats[0] += 1
         stats[1] += elapsed
         self.events.append(("backward", name, start - self._origin, elapsed))
-
-    def _run_replay_slot(self, name: str, fn) -> None:
-        """Time one compiled-tape forward slot (``repro.compile``).
-
-        Replays never call ``Module.forward`` or allocate graph nodes, so
-        without this hook a compiled step would profile as empty. Slot
-        timings land under ``replay_stats``/``events`` with per-op names
-        derived the same way as the backward table, keeping eager and
-        compiled tables comparable.
-        """
-        start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
-        stats = self.replay_stats.setdefault(name, [0, 0.0])
-        stats[0] += 1
-        stats[1] += elapsed
-        self.events.append(("replay", name, start - self._origin, elapsed))
 
     def _call_module(self, module, args, kwargs):
         name = type(module).__name__
@@ -189,17 +170,6 @@ class OpProfiler:
                 "backward ops (node allocations / closure time)\n"
                 + render_table(["op", "nodes", "bwd calls", "bwd ms"], rows)
             )
-        if self.replay_stats:
-            rows = [
-                [name, calls, seconds * 1e3, seconds / calls * 1e6]
-                for name, (calls, seconds) in sorted(
-                    self.replay_stats.items(), key=lambda kv: -kv[1][1]
-                )
-            ]
-            sections.append(
-                "compiled replay slots (repro.compile)\n"
-                + render_table(["slot", "calls", "cum ms", "us/call"], rows)
-            )
         if not sections:
             return "(no profiled activity)"
         return "\n\n".join(sections)
@@ -216,10 +186,6 @@ class OpProfiler:
             "modules": {
                 name: {"calls": calls, "cum_seconds": cum, "self_seconds": self_t}
                 for name, (calls, cum, self_t) in self.module_stats.items()
-            },
-            "replay_slots": {
-                name: {"calls": calls, "seconds": seconds}
-                for name, (calls, seconds) in self.replay_stats.items()
             },
         }
 
@@ -241,7 +207,7 @@ class OpProfiler:
         import os
 
         pid = os.getpid()
-        tids = {"forward": 1, "backward": 2, "replay": 3}
+        tids = {"forward": 1, "backward": 2}
         present = {category for category, _, _, _ in self.events}
         trace_events: list[dict] = [
             {

@@ -29,7 +29,7 @@ against the full-precision item matrix cast to float32, and the exact
 scores are spliced back in. Ranking metrics at the serving cutoffs are
 therefore governed by the exact scores as long as the true top-k lands in
 the candidate set (asserted at recall@20 >= 0.999 in
-``tests/compile/test_quantize.py``).
+``tests/retrieval/test_quantize.py``).
 
 Quantization is per-*scorer*, not per-model: the model keeps its full
 precision weights and training is untouched.

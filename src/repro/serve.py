@@ -177,13 +177,13 @@ class RecommenderService:
         ``"native"`` scores through the recommender at the model's training
         dtype (the default). ``"float32"``, ``"float16"`` and ``"int8"``
         snapshot the item matrix into a
-        :class:`~repro.compile.quantize.QuantizedScorer`; the quantized
+        :class:`~repro.retrieval.quantize.QuantizedScorer`; the quantized
         modes finish with an exact float32 re-rank of the top candidates
         (docs/performance.md, "Quantized inference"). Raises ``ValueError``
         when the model lacks the ``encode_sessions`` factorization seam or
         when an ANN retrieval path is active (it owns candidate scoring).
         """
-        from .compile.quantize import COMPUTE_MODES
+        from .retrieval.quantize import COMPUTE_MODES
 
         if mode not in COMPUTE_MODES:
             raise ValueError(f"compute must be one of {COMPUTE_MODES}, got {mode!r}")
@@ -200,7 +200,7 @@ class RecommenderService:
         return mode
 
     def _build_quantized(self, mode: str, rerank_top: int = 128):
-        from .compile.quantize import QuantizedScorer
+        from .retrieval.quantize import QuantizedScorer
         from .retrieval.factorize import factorize
 
         dtype = getattr(getattr(self.recommender, "train_config", None), "dtype", "float64")

@@ -147,7 +147,7 @@ def test_collate_parity_on_prepared_dataset(dataset, packed):
 
 
 # ----------------------------------------------------------------------
-# DataLoader integration: packed / buffers / prefetch / bucketing
+# DataLoader integration: packed / buffers / prefetch
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "kwargs",
@@ -156,18 +156,10 @@ def test_collate_parity_on_prepared_dataset(dataset, packed):
         {"reuse_buffers": True},
         {"prefetch": True},
         {"prefetch": True, "reuse_buffers": True},
-        {"bucket_lengths": True},
-        {"prefetch": True, "bucket_lengths": True},
     ],
 )
 def test_loader_parity_object_vs_packed(dataset, packed, kwargs):
-    base = DataLoader(
-        dataset.train,
-        batch_size=19,
-        shuffle=True,
-        seed=4,
-        bucket_lengths=kwargs.get("bucket_lengths", False),
-    )
+    base = DataLoader(dataset.train, batch_size=19, shuffle=True, seed=4)
     other = DataLoader(packed.train, batch_size=19, shuffle=True, seed=4, **kwargs)
     count = 0
     for a, b in zip(base, other):

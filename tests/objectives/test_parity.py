@@ -6,11 +6,9 @@ Two contracts:
   the *same computation* it was before objectives existed. The hashes below
   were produced by the pre-refactor trainer (sha256 over the sorted state
   dict plus the per-epoch (epoch, train_loss, valid_metric) history) and
-  must never drift — on the eager, compiled, and 2-worker paths alike.
-  Note the compiled golden trains with ``bucket_lengths=True``: bucketing
-  changes padding and is math-bearing, so it is part of the golden's key.
-* **InfoNCE parity.** The contrastive objective is tape- and shard-
-  compatible: eager, trace/replay, and N-worker training are bitwise equal.
+  must never drift — on the whole-batch and 2-worker paths alike.
+* **InfoNCE parity.** The contrastive objective is shard-compatible:
+  serial-grid and N-worker training are bitwise equal.
 """
 
 import hashlib
@@ -22,15 +20,12 @@ from repro.eval import ExperimentConfig, ExperimentRunner
 
 GOLDEN = {
     ("EMBSR", "eager"): "49d46995ea828530bf2505912c0c47b226a0201364884849598bd29ecdbf2ff2",
-    ("EMBSR", "compiled"): "fb3a9bd51c80a5ba62a588dadde8d6a37f390c4b3a761082d2e329f0d3791fba",
     ("EMBSR", "workers2"): "f78643864d5e2398fd6a64eec03805d006be8d849ab523ccabcfffc5f4795b63",
     ("NARM", "eager"): "de8b22390d27433b11808a36de9a70bfe7a5f0e99fb1bbb44c0978c7eddc6527",
-    ("NARM", "compiled"): "cdc65f1312ef9a7000b347f923fdcd50fa36dcc8783db1262b0aabc8fd11ffa7",
     ("NARM", "workers2"): "032a8feada6038f98d28caef848faeeb7d545d23e49d7d8a02af81df91300bed",
 }
 MODES = {
     "eager": {},
-    "compiled": {"compile": True, "bucket_lengths": True},
     "workers2": {"workers": 2, "grad_shards": 2},
 }
 
@@ -78,51 +73,7 @@ class TestGoldenCrossEntropy:
 
 
 class TestInfoNCEParity:
-    def test_ssl_compiled_is_bitwise_eager(self, dataset):
-        eager = fit(dataset, "EMBSR-SSL")
-        compiled = fit(dataset, "EMBSR-SSL", compile=True)
-        assert_same_params(state_of(eager), state_of(compiled))
-
-    def test_ssl_compiled_bucketed_is_bitwise_eager_bucketed(self, dataset):
-        eager = fit(dataset, "EMBSR-SSL", bucket_lengths=True)
-        compiled = fit(dataset, "EMBSR-SSL", compile=True, bucket_lengths=True)
-        assert_same_params(state_of(eager), state_of(compiled))
-
     def test_ssl_two_workers_is_bitwise_serial(self, dataset):
         serial = fit(dataset, "EMBSR-SSL", grad_shards=2)
         workers = fit(dataset, "EMBSR-SSL", workers=2, grad_shards=2)
         assert_same_params(state_of(serial), state_of(workers))
-
-    def test_ssl_actually_replays_under_compile(self, dataset):
-        """Trace/replay must engage for the composite objective, not fall
-        back to eager (the scalar-loss tape-replay regression guard)."""
-        from repro.compile.step import CompileEngine
-        from repro.data.dataset import DataLoader
-        from repro.objectives import StepContext, build_objective
-        from repro.registry import REGISTRY
-
-        spec = REGISTRY.spec_for(
-            "EMBSR-SSL",
-            num_items=dataset.num_items,
-            num_ops=dataset.num_operations,
-            dim=12,
-            seed=5,
-            dtype="float64",
-        )
-        model = REGISTRY.build_module(spec)
-        model.train()
-        objective = build_objective("ssl", cl_weight=0.1, num_ops=dataset.num_operations)
-        engine = CompileEngine(model, objective=objective)
-        loader = DataLoader(
-            dataset.train, batch_size=32, shuffle=True, seed=5, bucket_lengths=True
-        )
-        for epoch in range(3):
-            loader.set_epoch(epoch)
-            for i, batch in enumerate(loader):
-                for p in model.parameters():
-                    p.zero_grad()
-                engine.step(batch, ctx=StepContext(seed=5, epoch=epoch, batch_index=i))
-        assert engine.stats.replays > 0
-        assert engine.stats.eager_steps == 0
-        assert not engine.stats.fallbacks
-        assert set(engine.last_components) == {"ce", "infonce"}

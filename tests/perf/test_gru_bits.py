@@ -20,7 +20,6 @@ import pytest
 from repro import perf
 from repro.autograd import Tensor
 from repro.autograd.tensor import _stable_sigmoid
-from repro.compile.tape import Tape, recording
 
 HEIGHTS = [1, 2, 37, 38, 640]
 MASKS = ["none", "all-valid", "prefix", "holes", "empty-step", "padding-rows", "op-encoder"]
@@ -232,38 +231,4 @@ def test_mask_dtype_does_not_change_bytes(mask_dtype):
     assert_same_bytes(
         run_kernel(perf.gru_sequence, arrays, mask.astype(mask_dtype), True),
         run_kernel(dense_gru_sequence, arrays, mask, True),
-    )
-
-
-@pytest.mark.parametrize("traced,replayed", [("op-encoder", "holes"), ("all-valid", "op-encoder")])
-@pytest.mark.parametrize("B", [2, 38, 640])
-def test_tape_replay_with_a_mask_of_different_sparsity(B, traced, replayed):
-    """The replay slot re-derives the valid rows from the refreshed mask."""
-    rng = np.random.default_rng(B)
-    dtype = np.float64
-    first = make_arrays(rng, B, 6, 32, 32, dtype)
-    second = make_arrays(rng, B, 6, 32, 32, dtype)
-    mask = make_mask(traced, rng, B, 6, dtype)
-    new_mask = make_mask(replayed, rng, B, 6, dtype)
-
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in first[:6]]
-    tape = Tape()
-    tape.register(mask)
-    with recording(tape):
-        out = perf.gru_sequence(*tensors[:5], mask=mask, h0=tensors[5])
-    assert tape.finalize() is None
-
-    # What the engine does per step: refresh the staged buffers in place,
-    # run the slots, seed the output gradient, call the captured backward.
-    for t, fresh in zip(tensors, second):
-        np.copyto(t.data, fresh)
-    np.copyto(mask, new_mask)
-    for _, _, slot in tape.slots:
-        slot()
-    out.grad = second[6]
-    out._backward()
-
-    assert_same_bytes(
-        [out.data] + [t.grad for t in tensors],
-        run_kernel(dense_gru_sequence, second, new_mask, True),
     )

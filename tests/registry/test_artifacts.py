@@ -132,6 +132,39 @@ class TestCompatibility:
             fitted.score_batch(batch), restored.score_batch(batch)
         )
 
+    def test_removed_train_keys_are_ignored(self, dataset, tmp_path):
+        """Artifacts written while ``compile``/``bucket_lengths`` existed
+        still carry the keys in ``spec.train``: they build and serve."""
+        import dataclasses
+
+        from repro.serving import ServingGateway
+
+        fitted = fit_quick(dataset, "STAMP")
+        path = tmp_path / "stamp.npz"
+        fitted.save(path)
+        old = load_artifact(path)
+        train = dict(old.spec.train, compile=True, bucket_lengths=False)
+        spec = dataclasses.replace(old.spec, train=train)
+        save_artifact(
+            path, spec=spec, weights=old.weights, item_ids=old.item_ids, metadata=old.metadata
+        )
+        assert load_artifact(path).spec.train["compile"] is True
+
+        config = spec.train_config()
+        assert not hasattr(config, "compile") and not hasattr(config, "bucket_lengths")
+        restored = NeuralRecommender.from_artifact(path)
+        batch = collate(dataset.test[:8])
+        np.testing.assert_array_equal(
+            fitted.score_batch(batch), restored.score_batch(batch)
+        )
+        gateway = ServingGateway.from_artifact(path)
+        gateway.batcher.start()
+        try:
+            gateway.ingest("s1", item=dataset.vocab.ordered_raw_ids()[0], operation=1)
+            assert gateway.recommend("s1", k=5)["source"] == "model"
+        finally:
+            gateway.batcher.stop()
+
     def test_architecture_mismatch_names_fields(self, dataset, tmp_path):
         fitted = fit_quick(dataset, "STAMP")
         path = tmp_path / "stamp.npz"

@@ -6,7 +6,7 @@ import pytest
 from repro import reliability as rel
 from repro.core import EMBSRConfig, build_sgnn_self
 from repro.eval import TrainConfig, Trainer
-from repro.reliability import load_training_state
+from repro.reliability import load_training_state, save_training_state
 
 TRAIN = dict(epochs=3, lr=0.01, seed=1)
 
@@ -133,6 +133,28 @@ class TestResumeValidation:
         with pytest.raises(ValueError, match="config mismatch") as excinfo:
             Trainer(new_model(dataset), drifted).resume(dataset, state_path)
         assert "lr" in str(excinfo.value) and "seed" in str(excinfo.value)
+
+    @pytest.mark.parametrize("stamp", [True, False, None])
+    def test_removed_bucket_lengths_option(self, dataset, tmp_path, stamp):
+        """States written while ``bucket_lengths`` existed: one that used the
+        ladder cannot be resumed (its padding is gone); ``False`` and states
+        that predate the key resume as before."""
+        state_path = tmp_path / "train_state.npz"
+        cfg = TrainConfig(epochs=1, lr=0.01, seed=1, checkpoint_path=str(state_path))
+        Trainer(new_model(dataset), cfg).fit(dataset)
+        state = load_training_state(state_path)
+        assert "bucket_lengths" not in state.config and "compile" not in state.config
+        if stamp is not None:
+            state.config.update(bucket_lengths=stamp, compile=True)
+            save_training_state(state_path, state)
+
+        trainer = Trainer(new_model(dataset), cfg)
+        if stamp:
+            with pytest.raises(ValueError, match="cannot resume from .*bucket_lengths"):
+                trainer.resume(dataset, state_path)
+        else:
+            trainer.resume(dataset, state_path)
+            assert len(trainer.history) == 1
 
     def test_extending_epochs_is_allowed(self, dataset, tmp_path):
         """epochs is deliberately non-critical: a finished run can continue."""

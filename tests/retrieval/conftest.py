@@ -1,4 +1,4 @@
-"""Shared fixtures for the compiled-step / quantized-inference suite."""
+"""Shared fixtures for the quantized-inference suite."""
 
 import pytest
 

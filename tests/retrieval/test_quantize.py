@@ -11,7 +11,7 @@ into its cache scope and requantize on hot-swap.
 import numpy as np
 import pytest
 
-from repro.compile.quantize import COMPUTE_MODES, QuantizedScorer
+from repro.retrieval.quantize import COMPUTE_MODES, QuantizedScorer
 from repro.data.dataset import DataLoader
 from repro.eval import ExperimentConfig, ExperimentRunner
 from repro.eval.topk import top_k_indices

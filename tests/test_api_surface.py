@@ -1,6 +1,7 @@
 """API-surface tests: every exported name resolves and is documented."""
 
 import importlib
+import importlib.util
 import inspect
 
 import pytest
@@ -47,6 +48,7 @@ PACKAGES = [
     "repro.retrieval.factorize",
     "repro.retrieval.pipeline",
     "repro.retrieval.evaluate",
+    "repro.retrieval.quantize",
     "repro.cli",
 ]
 
@@ -77,6 +79,24 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_training_tape_stays_deleted():
+    """One eager step path: no tape hook in ``Tensor``, no option selecting one."""
+    import dataclasses
+
+    import repro.autograd.tensor
+    from repro.data.dataset import DataLoader
+    from repro.eval import ExperimentConfig, TrainConfig
+
+    assert importlib.util.find_spec("repro.compile") is None
+    assert not hasattr(repro.autograd.tensor, "_TAPE")
+    for names in (
+        {f.name for f in dataclasses.fields(TrainConfig)},
+        {f.name for f in dataclasses.fields(ExperimentConfig)},
+        set(inspect.signature(DataLoader.__init__).parameters),
+    ):
+        assert not names & {"compile", "bucket_lengths"}
 
 
 def test_no_accidental_torch_dependency():

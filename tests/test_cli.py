@@ -60,6 +60,21 @@ class TestParser:
         )
         assert args.cell_workers == 3
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--dataset", "d.json", "--model", "EMBSR", "--compile"],
+            ["train", "--dataset", "d.json", "--model", "EMBSR", "--bucket-lengths"],
+            ["profile", "--dataset", "d.json", "--model", "EMBSR", "--compiled"],
+        ],
+    )
+    def test_removed_compile_flags_are_rejected(self, argv, capsys):
+        """A script never silently trains eager under a flag it believes is on."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_profile_trace_arg(self):
         args = build_parser().parse_args(
             ["profile", "--dataset", "d.json", "--model", "EMBSR",

@@ -112,3 +112,53 @@ class TestTrain:
             return next(line for line in out.splitlines() if "test metrics" in line)
 
         assert run([]) == run(["--packed", "--prefetch"])
+
+
+class TestWrongFileKind:
+    """A file that is not a prepared dataset is one stderr line and exit 1."""
+
+    CONTENTS = {
+        "empty file": "",
+        "json list": "[]",
+        "missing splits": '{"name": "x", "operations": [], "item_ids": []}',
+    }
+
+    def _wrong_file(self, kind, artifacts, tmp_path):
+        if kind == "raw jsonl":
+            return artifacts[1]
+        if kind == "directory":
+            return tmp_path
+        path = tmp_path / "wrong.json"
+        path.write_text(self.CONTENTS[kind])
+        return path
+
+    @pytest.mark.parametrize(
+        "kind", ["raw jsonl", "empty file", "json list", "missing splits", "directory"]
+    )
+    def test_load_raises_named_error(self, kind, artifacts, tmp_path):
+        from repro.data.io import DatasetFormatError, load_prepared_dataset
+
+        path = self._wrong_file(kind, artifacts, tmp_path)
+        with pytest.raises(DatasetFormatError) as caught:
+            load_prepared_dataset(path)
+        assert str(path) in str(caught.value)
+        assert "expected a prepared dataset" in str(caught.value)
+        if kind == "missing splits":
+            assert "splits" in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["profile", "--steps", "1"],
+            ["train", "--epochs", "1"],
+            ["evaluate", "--checkpoint", "none.npz"],
+            ["evaluate", "--artifact", "none.npz"],
+            ["compare"],
+        ],
+    )
+    def test_cli_prints_one_line_and_exits_1(self, command, artifacts, capsys):
+        _, sessions, _, _ = artifacts
+        assert main([*command, "--dataset", str(sessions)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(sessions) in err and "expected a prepared dataset" in err
