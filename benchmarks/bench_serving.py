@@ -41,7 +41,13 @@ import numpy as np
 from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
 from repro.eval import ExperimentConfig, ExperimentRunner
 from repro.eval.topk import top_k_indices
-from repro.retrieval import IndexSpec, build_index, recall_frontier, sample_queries
+from repro.retrieval import (
+    IndexSpec,
+    RetrievalPipeline,
+    build_index,
+    recall_frontier,
+    sample_queries,
+)
 from repro.serve import RecommenderService
 from repro.serving import (
     GatewayConfig,
@@ -269,13 +275,13 @@ def bench_retrieval() -> dict:
             (p for p in points if p["recall"][str(RETRIEVAL_K)] >= RETRIEVAL_MIN_RECALL),
             points[-1],
         )
-        # Measure the chosen point end-to-end (candidates + shortlist + re-rank).
+        # Measure the chosen point end-to-end through the served ranking
+        # (probe + scan or shortlist + re-rank), one query per call.
+        pipeline = RetrievalPipeline(None, index, nprobe=chosen["nprobe"])
         ann_ms = []
         for q in queries:
             started = time.perf_counter()
-            cand, _ = index.candidates(q, chosen["nprobe"], min_candidates=RETRIEVAL_K)
-            short = index.shortlist(q, cand)
-            short[top_k_indices(index.vectors[short] @ q, RETRIEVAL_K)]
+            pipeline.rank_queries(q[None, :], RETRIEVAL_K)
             ann_ms.append((time.perf_counter() - started) * 1000.0)
         summary = _latency_summary(ann_ms)
         summary["nprobe"] = chosen["nprobe"]

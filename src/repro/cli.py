@@ -700,6 +700,9 @@ def _cmd_serve(args) -> int:
     from .serve import RecommenderService
     from .serving import GatewayConfig, PopularityFallback, ServingGateway
 
+    if args.nprobe is not None and args.nprobe < 0:
+        print(f"--nprobe must be >= 0 (0 = the index spec's), got {args.nprobe}", file=sys.stderr)
+        return 2
     gateway_config = GatewayConfig(
         host=args.host,
         port=args.port,
@@ -924,6 +927,20 @@ def _cmd_index(args) -> int:
 
     from .retrieval import IndexSpec, build_index, measure_recall, sample_queries
 
+    if args.index_command == "build":
+        try:
+            spec = IndexSpec(
+                kind=args.kind,
+                cells=args.cells,
+                nprobe=args.nprobe,
+                seed=args.seed,
+                pq_m=args.pq_m,
+                pq_bits=args.pq_bits,
+                rerank=args.rerank,
+            )
+        except ValueError as error:
+            print(f"cannot build an index: {error}", file=sys.stderr)
+            return 2
     try:
         bundle, fact = _index_factorization(args.artifact)
     except FileNotFoundError:
@@ -949,15 +966,7 @@ def _cmd_index(args) -> int:
         print(f"  index bytes  {index.memory_bytes()}")
         return 0
 
-    spec = IndexSpec(
-        kind=args.kind,
-        cells=args.cells,
-        nprobe=args.nprobe,
-        seed=args.seed,
-        pq_m=args.pq_m,
-        pq_bits=args.pq_bits,
-        rerank=args.rerank,
-    ).resolve(*items.shape)
+    spec = spec.resolve(*items.shape)
     print(f"building {spec.kind} index over {items.shape[0]} items (dim {items.shape[1]})")
     index = build_index(items, spec)
     for key, value in index.spec.to_dict().items():

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..eval.topk import top_k_indices, topk_recall
 from .index import IVFIndex
+from .pipeline import RetrievalPipeline
 
 __all__ = ["measure_recall", "recall_frontier", "sample_queries"]
 
@@ -49,12 +50,14 @@ def measure_recall(
 ) -> dict:
     """Recall@k of ANN+re-rank against exact full scoring, plus timings.
 
-    Returns ``{"recall": {k: float}, "ann_ms": [...], "exact_ms": [...],
-    "candidates": mean_candidate_count, "nprobe": resolved}`` where the
-    ``*_ms`` lists hold per-query wall-clock milliseconds (callers take
-    their own percentiles).
+    The ANN side is :meth:`RetrievalPipeline.rank_queries`, the ranking
+    serving runs, one query per call. Returns ``{"recall": {k: float},
+    "ann_ms": [...], "exact_ms": [...], "candidates": mean_candidate_count,
+    "nprobe": resolved}`` where the ``*_ms`` lists hold per-query
+    wall-clock milliseconds (callers take their own percentiles).
     """
-    nprobe = min(nprobe or index.spec.nprobe, index.n_cells)
+    pipeline = RetrievalPipeline(None, index, nprobe=nprobe)
+    vectors = index.vectors  # the exact reference; each access is a copy
     kmax = max(ks)
     hits = {k: 0 for k in ks}
     ann_ms: list[float] = []
@@ -62,16 +65,14 @@ def measure_recall(
     total_candidates = 0
     for query in queries:
         started = time.perf_counter()
-        exact_top = top_k_indices(index.vectors @ query, kmax)
+        exact_top = top_k_indices(vectors @ query, kmax)
         exact_ms.append((time.perf_counter() - started) * 1000.0)
 
         started = time.perf_counter()
-        cand, _ = index.candidates(query, nprobe, min_candidates=kmax)
-        short = index.shortlist(query, cand)
-        ann_top = short[top_k_indices(index.vectors[short] @ query, kmax)]
+        ann_top = pipeline.rank_queries(query[None, :], kmax)[0]
         ann_ms.append((time.perf_counter() - started) * 1000.0)
 
-        total_candidates += len(cand)
+        total_candidates += pipeline.last_stats.candidates
         for k in ks:
             hits[k] += topk_recall(exact_top, ann_top, k)
     n = max(1, len(queries))
@@ -80,7 +81,7 @@ def measure_recall(
         "ann_ms": ann_ms,
         "exact_ms": exact_ms,
         "candidates": total_candidates / n,
-        "nprobe": nprobe,
+        "nprobe": pipeline.nprobe,
     }
 
 

@@ -2,12 +2,13 @@
 
 The catalogue's scoring-space item vectors (see
 :mod:`repro.retrieval.factorize`) are partitioned into ``cells`` coarse
-clusters by seeded spherical k-means. A query ranks the cell centroids,
-scans the inverted lists of its best ``nprobe`` cells, and hands the
-resulting candidate set to an exact re-rank
-(:mod:`repro.retrieval.pipeline`). With ``kind="ivfpq"`` a product-
-quantization codebook over cell residuals shortlists inside the probed
-cells first, so the exact re-rank touches only ``rerank`` rows.
+clusters by seeded spherical k-means and stored **cell-major**: each
+cell's members are one contiguous, zero-padded block of
+``cell_vectors``. A query ranks the cell centroids, and the exact re-rank
+(:mod:`repro.retrieval.pipeline`) scores each of its best ``nprobe``
+cells in place with one matvec per block. With ``kind="ivfpq"`` a
+product-quantization codebook over cell residuals shortlists inside the
+probed cells first, so the exact re-rank touches only ``rerank`` rows.
 
 Indexes are **rebuilt, not stored**: :class:`IndexSpec` (a few integers +
 a seed) is recorded in the model artifact's metadata via
@@ -44,6 +45,21 @@ AUTO_ANN_THRESHOLD = 100_000
 
 INDEX_KINDS = ("ivf", "ivfpq")
 
+# Each cell's block of ``cell_vectors`` is zero-padded to a multiple of this
+# many rows. OpenBLAS's gemv (0.3.31, Haswell kernels) computes a call's rows
+# four at a time and its last ``M mod 4`` rows with a tail kernel whose bytes
+# differ: a height-7 call changes rows 5 and 6, while 40 identical rows at
+# block positions give one value. On the 50,000 x 32 ``serve_catalog``
+# catalogue (224 cells, nprobe 28, 200 queries) unpadded blocks differ from
+# the full-height ``vectors @ q`` in 200/200 queries and 4-row blocks in
+# 0/200 (also 0/200 against the exact path's ``q[None] @ vectors.T``), so a
+# probed cell scores its items with the bytes exact scoring gives them. The
+# padding costs at most three zero rows per cell (+0.67 % rows there).
+ROW_BLOCK = 4
+
+_NON_NEGATIVE = ("cells", "nprobe", "pq_m", "iters", "train_size", "rerank")
+_AUTO_WHEN_ZERO = ("cells", "nprobe", "pq_m")
+
 
 @dataclass(frozen=True)
 class IndexSpec:
@@ -67,6 +83,13 @@ class IndexSpec:
     def __post_init__(self):
         if self.kind not in INDEX_KINDS:
             raise ValueError(f"kind must be one of {INDEX_KINDS}, got {self.kind!r}")
+        for name in _NON_NEGATIVE:
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                auto = " (0 = auto)" if name in _AUTO_WHEN_ZERO else ""
+                raise ValueError(f"IndexSpec.{name} must be >= 0{auto}, got {value}")
+        if self.pq_bits < 1:
+            raise ValueError(f"IndexSpec.pq_bits must be >= 1, got {self.pq_bits}")
 
     def resolve(self, n_items: int, dim: int) -> "IndexSpec":
         """Fill the auto (0) fields for a concrete catalogue."""
@@ -113,40 +136,68 @@ def resolve_retrieval_kind(requested: str, n_items: int) -> str:
 
 
 class IVFIndex:
-    """Inverted-file index: unit centroids + per-cell item lists.
+    """Inverted-file index: unit centroids + a cell-major copy of the items.
 
-    ``vectors`` is the scoring-space item matrix (row ``i`` scores item
-    class ``i``, i.e. item id ``i + 1``); the index keeps a reference for
-    the exact re-rank stage — candidate generation never copies it.
+    Cell ``c`` owns rows ``cell_starts[c]:cell_starts[c + 1]`` of
+    ``cell_vectors``: its members in ascending class order, then zero rows
+    up to a multiple of :data:`ROW_BLOCK`. ``cell_classes`` names the item
+    class of every row (``-1`` on padding), and ``lists[c]`` is the view of
+    cell ``c``'s real classes in it. This block layout is the only copy of
+    the item vectors the index holds; :attr:`vectors` gathers a
+    class-ordered one on demand.
     """
 
     def __init__(
         self,
         spec: IndexSpec,
-        vectors: np.ndarray,
         centroids: np.ndarray,
-        lists: list[np.ndarray],
+        cell_vectors: np.ndarray,
+        cell_classes: np.ndarray,
+        cell_starts: np.ndarray,
         cell_means: np.ndarray,
         pq: PQCodebook | None = None,
     ):
         self.spec = spec
-        self.vectors = vectors
         self.centroids = centroids
-        self.lists = lists
+        self.cell_vectors = cell_vectors
+        self.cell_classes = cell_classes
+        self.cell_starts = cell_starts
         self.cell_means = cell_means
         self.pq = pq
+        bounds = list(zip(cell_starts[:-1].tolist(), cell_starts[1:].tolist()))
+        self._blocks = [cell_vectors[a:b] for a, b in bounds]
+        self.lists = [
+            cell_classes[a : a + int(np.count_nonzero(cell_classes[a:b] >= 0))]
+            for a, b in bounds
+        ]
+        self._sizes = np.array([len(members) for members in self.lists], dtype=np.int64)
+        rows = np.flatnonzero(cell_classes >= 0)
+        self._row_of = np.empty(len(rows), dtype=np.int64)
+        self._row_of[cell_classes[rows]] = rows
+        self._cell_of = np.empty(len(rows), dtype=np.int64)
+        for cell, members in enumerate(self.lists):
+            self._cell_of[members] = cell
 
     # ------------------------------------------------------------------
     @property
     def n_items(self) -> int:
-        return self.vectors.shape[0]
+        return len(self._row_of)
 
     @property
     def n_cells(self) -> int:
         return self.centroids.shape[0]
 
+    @property
+    def vectors(self) -> np.ndarray:
+        """A class-ordered ``[n_items, d]`` copy of the item vectors.
+
+        Row ``i`` scores item class ``i`` (item id ``i + 1``). Every access
+        gathers a fresh copy from ``cell_vectors``: take it once per use.
+        """
+        return self.cell_vectors[self._row_of]
+
     def list_sizes(self) -> np.ndarray:
-        return np.array([len(l) for l in self.lists])
+        return self._sizes.copy()
 
     def memory_bytes(self) -> int:
         """Index-only footprint (centroids + lists + codes), vectors excluded."""
@@ -156,33 +207,57 @@ class IVFIndex:
             total += self.pq.codebooks.nbytes + self.pq.codes.nbytes
         return int(total)
 
+    def resolve_nprobe(self, nprobe: int | None) -> int:
+        """Cells to probe: ``nprobe``, or the spec's when 0/None, capped at ``cells``."""
+        if nprobe is not None and nprobe < 0:
+            raise ValueError(f"nprobe must be >= 0 (0 = the index spec's), got {nprobe}")
+        return min(nprobe or self.spec.nprobe, self.n_cells)
+
     # ------------------------------------------------------------------
-    def probe(self, queries: np.ndarray, nprobe: int | None = None) -> np.ndarray:
-        """``[B, nprobe]`` best cells per query (by centroid dot product)."""
-        nprobe = min(nprobe or self.spec.nprobe, self.n_cells)
-        return top_k_indices(queries @ self.centroids.T, nprobe)
+    def probe_cells(
+        self, query: np.ndarray, nprobe: int | None = None, min_candidates: int = 0
+    ) -> np.ndarray:
+        """The cells one query scans, best centroid dot product first.
+
+        Probing widens deterministically (next-best cells) past ``nprobe``
+        until the cells hold at least ``min_candidates`` items, so a request
+        for ``k`` items never starves on unluckily small cells. It takes one
+        query: a batched ``[B, cells]`` centroid product has different
+        bytes, so a row's probe set would depend on the rows batched with it.
+        """
+        nprobe = self.resolve_nprobe(nprobe)
+        ranked = top_k_indices(query @ self.centroids.T, self.n_cells)
+        held = np.cumsum(self._sizes[ranked])
+        probed = max(nprobe, int(np.searchsorted(held, min_candidates)) + 1)
+        return ranked[: min(probed, self.n_cells)]
 
     def candidates(
         self, query: np.ndarray, nprobe: int | None = None, min_candidates: int = 0
     ) -> tuple[np.ndarray, int]:
-        """Ascending candidate classes for one query, plus cells probed.
-
-        Probing widens deterministically (next-best cells) until at least
-        ``min_candidates`` candidates are collected, so a request for
-        ``k`` items never starves on unluckily small cells.
-        """
-        nprobe = min(nprobe or self.spec.nprobe, self.n_cells)
-        ranked = top_k_indices(query @ self.centroids.T, self.n_cells)
-        probed = nprobe
-        while True:
-            cand = [self.lists[c] for c in ranked[:probed] if len(self.lists[c])]
-            total = sum(len(c) for c in cand)
-            if total >= min_candidates or probed >= self.n_cells:
-                break
-            probed += 1
-        merged = np.concatenate(cand) if cand else np.empty(0, dtype=np.int64)
+        """Ascending candidate classes for one query, plus cells probed
+        (the cells of :meth:`probe_cells`)."""
+        cells = self.probe_cells(query, nprobe, min_candidates)
+        merged = np.concatenate([self.lists[c] for c in cells])
         merged.sort()  # ascending classes keep the re-rank's tie order exact
-        return merged, probed
+        return merged, len(cells)
+
+    def scan(self, query: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact scores of every item in ``cells``, and their classes.
+
+        One matvec per cell over its whole padded block, cut back to the
+        real rows: no rows are gathered, and every score has the bytes of
+        the full-height ``vectors @ query`` (see :data:`ROW_BLOCK`). Items
+        come in ``cells`` order, ascending class within a cell.
+        """
+        picked = cells.tolist()
+        scores = np.concatenate(
+            [(self._blocks[c] @ query)[: self._sizes[c]] for c in picked]
+        )
+        return scores, np.concatenate([self.lists[c] for c in picked])
+
+    def gather_scores(self, query: np.ndarray, classes: np.ndarray) -> np.ndarray:
+        """Exact scores of ``classes``, gathering their rows by position."""
+        return self.cell_vectors[self._row_of[classes]] @ query
 
     def shortlist(
         self,
@@ -206,16 +281,6 @@ class IVFIndex:
         return keep
 
     # ------------------------------------------------------------------
-    @property
-    def _cell_of(self) -> np.ndarray:
-        cached = getattr(self, "_cell_of_cache", None)
-        if cached is None:
-            cached = np.empty(self.n_items, dtype=np.int64)
-            for cell, members in enumerate(self.lists):
-                cached[members] = cell
-            self._cell_of_cache = cached
-        return cached
-
     def signature(self) -> dict:
         """Cheap content fingerprint used by rebuild-determinism tests."""
         return {
@@ -229,7 +294,9 @@ def build_index(item_vectors: np.ndarray, spec: IndexSpec) -> IVFIndex:
     """Deterministically build an :class:`IVFIndex` from scoring-space vectors.
 
     A pure function: the same ``(item_vectors, spec)`` produce bit-identical
-    centroids, inverted lists, and PQ codes in any process.
+    centroids, cell blocks, and PQ codes in any process. The index copies
+    the vectors into its cell-major blocks and keeps no reference to
+    ``item_vectors``.
     """
     vectors = np.ascontiguousarray(np.asarray(item_vectors, dtype=np.float64))
     n, dim = vectors.shape
@@ -243,13 +310,18 @@ def build_index(item_vectors: np.ndarray, spec: IndexSpec) -> IVFIndex:
     from .kmeans import assign_spherical, _normalize_rows  # noqa: PLC0415
 
     assignments = assign_spherical(_normalize_rows(vectors), coarse.centroids)
-    lists = [
-        np.flatnonzero(assignments == cell).astype(np.int64) for cell in range(spec.cells)
-    ]
+    lists = [np.flatnonzero(assignments == cell) for cell in range(spec.cells)]
+    padded = [-(-len(members) // ROW_BLOCK) * ROW_BLOCK for members in lists]
+    cell_starts = np.concatenate([[0], np.cumsum(padded)]).astype(np.int64)
+    cell_vectors = np.zeros((int(cell_starts[-1]), dim), dtype=np.float64)
+    cell_classes = np.full(int(cell_starts[-1]), -1, dtype=np.int64)
     cell_means = np.zeros((spec.cells, dim), dtype=np.float64)
     for cell, members in enumerate(lists):
         if len(members):
-            cell_means[cell] = vectors[members].mean(axis=0)
+            rows = slice(cell_starts[cell], cell_starts[cell] + len(members))
+            cell_vectors[rows] = vectors[members]
+            cell_classes[rows] = members
+            cell_means[cell] = cell_vectors[rows].mean(axis=0)
     pq = None
     if spec.kind == "ivfpq":
         residuals = vectors - cell_means[assignments]
@@ -260,4 +332,4 @@ def build_index(item_vectors: np.ndarray, spec: IndexSpec) -> IVFIndex:
             seed=spec.seed,
             train_size=spec.train_size,
         )
-    return IVFIndex(spec, vectors, coarse.centroids, lists, cell_means, pq)
+    return IVFIndex(spec, coarse.centroids, cell_vectors, cell_classes, cell_starts, cell_means, pq)

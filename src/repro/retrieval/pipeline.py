@@ -7,10 +7,11 @@ embed a request batch) and an :class:`~repro.retrieval.index.IVFIndex`
 same contract as exact serving: the ``k`` best item *classes* per row,
 best first, ties in ascending class order. The contract holds because
 
-* candidate sets are kept in ascending class order, and
-* the re-rank scores candidates with the exact dot products and selects
-  via :func:`repro.eval.topk.top_k_indices` (the stable-argsort kernel
-  every ranked surface shares),
+* the re-rank scores each probed cell in place (:meth:`IVFIndex.scan`),
+  and every score has the bytes full-catalogue scoring gives that item,
+  and
+* selection orders by (score descending, class ascending), the order of
+  :func:`repro.eval.topk.top_k_indices` over the whole catalogue,
 
 so with ``nprobe == n_cells`` the pipeline's output is *identical* to
 full-catalogue scoring — including tie order — and with fewer probes the
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..eval.topk import top_k_indices
 from .factorize import factorize
 from .index import IVFIndex, IndexSpec, build_index
 
@@ -42,16 +42,33 @@ __all__ = ["RetrievalPipeline", "RetrievalStats"]
 _GENERATIONS = itertools.count(1)
 
 
+def _top_k_by_class(scores: np.ndarray, classes: np.ndarray, k: int) -> np.ndarray:
+    """The ``k`` best ``classes`` by (score descending, class ascending).
+
+    ``np.partition`` finds the k-th best score and only the candidates at
+    or above it are sorted, so ties straddling the cut resolve to the lower
+    classes, as :func:`~repro.eval.topk.top_k_indices` resolves them over
+    the whole catalogue.
+    """
+    if k <= 0:
+        return classes[:0]
+    if k < len(scores):
+        cut = len(scores) - k
+        keep = np.flatnonzero(scores >= np.partition(scores, cut)[cut])
+        scores, classes = scores[keep], classes[keep]
+    return classes[np.lexsort((classes, -scores))[:k]]
+
+
 @dataclass
 class RetrievalStats:
     """One scoring call's ANN-stage telemetry."""
 
     rows: int
     probes: int          # cells scanned, summed over rows
-    candidates: int      # candidate rows scored, summed over rows
+    candidates: int      # items in the probed cells (padding excluded), summed over rows
     reranked: int        # rows surviving the PQ shortlist, summed over rows
-    ann_ms: float        # candidate generation + shortlist, milliseconds
-    rerank_ms: float     # exact re-rank, milliseconds
+    ann_ms: float        # rank cells + widen (+ PQ shortlist), milliseconds
+    rerank_ms: float     # exact scan + seen mask + top-k select, milliseconds
 
 
 class RetrievalPipeline:
@@ -78,7 +95,7 @@ class RetrievalPipeline:
     ):
         self.factorization = factorization
         self.index = index
-        self.nprobe = min(nprobe or index.spec.nprobe, index.n_cells)
+        self.nprobe = index.resolve_nprobe(nprobe)
         self.observer = observer
         self.generation = next(_GENERATIONS)
         self.last_stats: RetrievalStats | None = None
@@ -157,36 +174,44 @@ class RetrievalPipeline:
         seen_classes: list[np.ndarray] | None = None,
         nprobe: int | None = None,
     ) -> list[np.ndarray]:
-        """:meth:`top_k_classes` for already-embedded query vectors."""
-        nprobe = min(nprobe or self.nprobe, self.index.n_cells)
+        """:meth:`top_k_classes` for already-embedded query vectors.
+
+        Each row is ranked on its own, so its answer never depends on which
+        other rows share the call.
+        """
         index = self.index
+        nprobe = index.resolve_nprobe(nprobe or self.nprobe)
         results: list[np.ndarray] = []
         probes = candidates = reranked = 0
         ann_s = rerank_s = 0.0
         for row in range(queries.shape[0]):
             query = queries[row]
+            seen = None if seen_classes is None else seen_classes[row]
             # Seen items may dominate the probed cells; widen the candidate
             # floor so masking them can never starve the top-k.
-            need = k + (len(seen_classes[row]) if seen_classes is not None else 0)
+            need = k + (0 if seen is None else len(seen))
             started = time.perf_counter()
-            cand, probed = index.candidates(query, nprobe, min_candidates=need)
-            short = index.shortlist(query, cand)
+            if index.pq is None:
+                cells = index.probe_cells(query, nprobe, min_candidates=need)
+            else:
+                cand, probed = index.candidates(query, nprobe, min_candidates=need)
+                short = index.shortlist(query, cand)
             ann_s += time.perf_counter() - started
 
             started = time.perf_counter()
-            scores = index.vectors[short] @ query
-            if seen_classes is not None and len(seen_classes[row]):
-                mask = np.isin(short, seen_classes[row])
-                if mask.any():
-                    scores = scores.copy() if scores.base is not None else scores
-                    scores[mask] = -np.inf
-            top = top_k_indices(scores, k)
-            results.append(short[top])
+            if index.pq is None:
+                scores, classes = index.scan(query, cells)
+                cand, probed = classes, len(cells)
+            else:
+                scores, classes = index.gather_scores(query, short), short
+            if seen is not None and len(seen):
+                scores[np.isin(classes, seen)] = -np.inf
+            results.append(_top_k_by_class(scores, classes, k))
             rerank_s += time.perf_counter() - started
 
             probes += probed
             candidates += len(cand)
-            reranked += len(short)
+            reranked += len(classes)
         stats = RetrievalStats(
             rows=queries.shape[0],
             probes=probes,

@@ -7,6 +7,7 @@ from repro.eval.topk import top_k_indices
 from repro.retrieval import (
     AUTO_ANN_THRESHOLD,
     IndexSpec,
+    RetrievalPipeline,
     build_index,
     measure_recall,
     resolve_retrieval_kind,
@@ -151,3 +152,42 @@ class TestRecall:
         assert len(short) == 64
         assert np.isin(short, cand).all()
         assert np.array_equal(short, np.sort(short))
+
+
+class TestNegativeSizesRejected:
+    """Negative sizes are named errors; 0/None keep meaning "auto"."""
+
+    CASES = {
+        "spec cells": (lambda index: IndexSpec(cells=-4), "IndexSpec.cells must be >= 0"),
+        "spec nprobe": (lambda index: IndexSpec(cells=16, nprobe=-2), "IndexSpec.nprobe must be >= 0"),
+        "spec iters": (lambda index: IndexSpec(iters=-1), "IndexSpec.iters must be >= 0"),
+        "spec train_size": (lambda index: IndexSpec(train_size=-1), "IndexSpec.train_size must be >= 0"),
+        "spec rerank": (lambda index: IndexSpec(rerank=-1), "IndexSpec.rerank must be >= 0"),
+        "spec pq_m": (lambda index: IndexSpec(kind="ivfpq", pq_m=-4), "IndexSpec.pq_m must be >= 0"),
+        "spec pq_bits 0": (lambda index: IndexSpec(pq_bits=0), "IndexSpec.pq_bits must be >= 1"),
+        "spec pq_bits -1": (lambda index: IndexSpec(pq_bits=-1), "IndexSpec.pq_bits must be >= 1"),
+        "pipeline nprobe": (lambda index: RetrievalPipeline(None, index, nprobe=-3), "nprobe must be >= 0"),
+        "rank_queries nprobe": (
+            lambda index: RetrievalPipeline(None, index).rank_queries(np.ones((1, 16)), 5, nprobe=-1),
+            "nprobe must be >= 0",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def index(self):
+        return build_index(catalogue(n=300), IndexSpec(cells=16, seed=0))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected_by_name(self, case, index):
+        call, message = self.CASES[case]
+        with pytest.raises(ValueError, match=message):
+            call(index)
+
+    def test_zero_and_none_mean_auto(self, index):
+        spec = IndexSpec(kind="ivfpq", cells=0, nprobe=0, pq_m=0).resolve(10000, 32)
+        assert (spec.cells, spec.nprobe, spec.pq_m) == (100, 12, 8)
+        for nprobe in (0, None):
+            pipeline = RetrievalPipeline(None, index, nprobe=nprobe)
+            assert pipeline.nprobe == index.spec.nprobe
+            pipeline.rank_queries(np.ones((1, 16)), 5, nprobe=nprobe)
+            assert pipeline.last_stats.probes >= index.spec.nprobe

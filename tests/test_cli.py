@@ -75,6 +75,21 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["serve", "--nprobe", "-3", "--port", "0"], "nprobe"),
+            (["index", "build", "model.npz", "--nprobe", "-1"], "nprobe"),
+            (["index", "build", "model.npz", "--cells", "-4"], "cells"),
+        ],
+    )
+    def test_negative_retrieval_sizes_are_rejected(self, argv, name, capsys):
+        """Checked before any artifact is read or model trained."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert name in err and "must be >= 0" in err
+
     def test_profile_trace_arg(self):
         args = build_parser().parse_args(
             ["profile", "--dataset", "d.json", "--model", "EMBSR",
