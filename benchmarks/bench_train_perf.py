@@ -8,24 +8,13 @@ synthetic JD-like data. It is the repo's training-perf trajectory: CI runs
 it with ``--smoke`` and uploads the JSON, and ``docs/performance.md``
 explains how to read the output.
 
-Modes
------
-``fused``
-    The default code path: fused kernels (``repro.perf.fused``) on.
-``unfused``
-    Fusion disabled via ``repro.perf.set_fusion(False)`` — the op-by-op
-    composition the substrate used before the perf PR. On a tree that
-    predates ``repro.perf`` only this mode exists (used to record the
-    committed ``train_perf_baseline.json``).
-
 The timed region replicates ``Trainer._train_batch`` without the
 watchdog: zero_grad -> forward -> cross-entropy -> backward -> clip ->
 Adam step. ``tokens/sec`` counts valid *micro-behavior events*
-(``micro_mask.sum()``) so the number is comparable across models.
-
-A convergence check trains the same model for a fixed number of steps in
-both modes (same seed, same batches, float64) and records the absolute
-final-loss difference; the acceptance bar is <= 1e-6.
+(``micro_mask.sum()``) so the number is comparable across models. The
+committed ``train_perf_baseline.json`` was recorded on a tree that
+predates the fused kernels; its one entry per model is that tree's
+composed-op path.
 
 With ``--workers N`` the script additionally benchmarks the data-parallel
 engine (``repro.parallel``) against the single-process shard executor on
@@ -78,11 +67,6 @@ from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
 from repro.data.dataset import DataLoader
 from repro.eval import ExperimentConfig, ExperimentRunner
 
-try:  # absent on the pre-optimization tree that records the baseline
-    from repro import perf
-except ImportError:  # pragma: no cover - exercised only on the seed tree
-    perf = None
-
 try:  # absent on trees that predate the packed-data PR
     from repro.data.packed import pack_dataset
 except ImportError:  # pragma: no cover - exercised only on older trees
@@ -108,11 +92,6 @@ def _available_cores() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _set_fusion(enabled: bool) -> None:
-    if perf is not None:
-        perf.set_fusion(enabled)
 
 
 def build_batches(sessions: int, batch_size: int, seed: int = 0):
@@ -404,25 +383,6 @@ def parallel_section(
     return section
 
 
-def convergence_check(name: str, dataset, batches, dim: int, steps: int, seed: int):
-    """Same seed + batches, fused vs unfused: final losses must agree."""
-    results = {}
-    for mode, enabled in (("fused", True), ("unfused", False)):
-        _set_fusion(enabled)
-        model = build_model(dataset, name, dim, seed)
-        _, losses = train_steps(model, batches, steps)
-        results[mode] = losses
-    _set_fusion(True)
-    diff = abs(results["fused"][-1] - results["unfused"][-1])
-    return {
-        "steps": steps,
-        "final_loss_fused": results["fused"][-1],
-        "final_loss_unfused": results["unfused"][-1],
-        "abs_final_loss_diff": diff,
-        "identical_convergence": bool(diff <= 1e-6),
-    }
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true", help="CI-sized quick run")
@@ -433,7 +393,6 @@ def main(argv=None) -> int:
     parser.add_argument("--batch-size", type=int, default=64)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--models", nargs="+", default=list(MODELS))
-    parser.add_argument("--skip-convergence", action="store_true")
     parser.add_argument("--dtype", choices=["float32", "float64"], default="float64")
     parser.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -482,26 +441,15 @@ def main(argv=None) -> int:
         f"{len(batches)} batches of {args.batch_size}; {cores} core(s) available"
     )
 
-    modes = ["fused", "unfused"] if perf is not None else ["unfused"]
-    results: dict[str, dict] = {name: {} for name in args.models}
+    results: dict[str, dict] = {}
     with default_dtype(args.dtype):
         for name in args.models:
-            for mode in modes:
-                _set_fusion(mode == "fused")
-                stats = measure(name, dataset, batches, dim, steps, warmup, args.seed)
-                results[name][mode] = stats
-                print(
-                    f"{name:8s} [{mode:7s}] {stats['steps_per_sec']:8.2f} steps/s "
-                    f"{stats['tokens_per_sec']:10.0f} tokens/s"
-                )
-            if len(modes) == 2:
-                ratio = (
-                    results[name]["fused"]["steps_per_sec"]
-                    / results[name]["unfused"]["steps_per_sec"]
-                )
-                results[name]["fused_over_unfused"] = ratio
-                print(f"{name:8s} fused/unfused speedup: {ratio:.2f}x")
-        _set_fusion(True)
+            stats = measure(name, dataset, batches, dim, steps, warmup, args.seed)
+            results[name] = {"fused": stats}
+            print(
+                f"{name:8s} {stats['steps_per_sec']:8.2f} steps/s "
+                f"{stats['tokens_per_sec']:10.0f} tokens/s"
+            )
 
         collate_stats = {}
         live = {}
@@ -557,18 +505,6 @@ def main(argv=None) -> int:
                     "the measured speedup understates what the engine delivers on real cores"
                 )
 
-        convergence = {}
-        if perf is not None and not args.skip_convergence:
-            conv_steps = 5 if args.smoke else 20
-            for name in args.models:
-                convergence[name] = convergence_check(
-                    name, dataset, batches, dim, conv_steps, args.seed
-                )
-                print(
-                    f"{name:8s} convergence: |Δloss|={convergence[name]['abs_final_loss_diff']:.2e} "
-                    f"({'ok' if convergence[name]['identical_convergence'] else 'DIVERGED'})"
-                )
-
     payload = {
         "meta": {
             "python": platform.python_version(),
@@ -585,14 +521,12 @@ def main(argv=None) -> int:
             "dtype": args.dtype,
             "workers": args.workers,
             "grad_shards": grad_shards,
-            "has_perf_package": perf is not None,
             "has_packed_module": pack_dataset is not None,
             "packed": do_packed,
             "prefetch": bool(args.prefetch),
         },
         "results": results,
         "parallel": parallel,
-        "convergence": convergence,
         "collate": collate_stats,
         "live": live,
     }
@@ -604,10 +538,12 @@ def main(argv=None) -> int:
         speedups = {}
         for name in args.models:
             base = baseline.get("results", {}).get(name, {})
-            base_mode = "fused" if "fused" in base else "unfused"
-            here = results[name].get("fused") or results[name].get("unfused")
-            if base.get(base_mode) and here and baseline["meta"]["smoke"] == args.smoke:
-                speedups[name] = here["steps_per_sec"] / base[base_mode]["steps_per_sec"]
+            # The committed baseline holds one mode entry per model, named
+            # after the path of the tree that recorded it.
+            base_stats = base.get("fused") or next(iter(base.values()), None)
+            if base_stats and baseline["meta"]["smoke"] == args.smoke:
+                here = results[name]["fused"]
+                speedups[name] = here["steps_per_sec"] / base_stats["steps_per_sec"]
                 print(f"{name:8s} speedup vs committed baseline: {speedups[name]:.2f}x")
         payload["speedup_vs_baseline"] = speedups
 
@@ -619,9 +555,7 @@ def main(argv=None) -> int:
     # keys, one entry per model — safe for external trackers to diff.
     summary_models = {}
     for name in args.models:
-        source = parallel.get(name, {}).get("parallel") or results[name].get(
-            "fused"
-        ) or results[name].get("unfused")
+        source = parallel.get(name, {}).get("parallel") or results[name]["fused"]
         summary_models[name] = {
             "steps_per_sec": round(source["steps_per_sec"], 4),
             "tokens_per_sec": round(source["tokens_per_sec"], 1),

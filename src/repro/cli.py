@@ -232,7 +232,6 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
         metavar="PATH",
         help="profile the model from this artifact (spec + weights) instead of building fresh",
     )
-    p.add_argument("--no-fusion", action="store_true", help="profile the unfused composed ops")
     p.add_argument("--json", default=None, metavar="PATH", help="also dump the profile as JSON")
     p.add_argument(
         "--trace",
@@ -627,8 +626,13 @@ def _cmd_profile(args) -> int:
     from .eval.trainer import NeuralRecommender
     from .nn import Adam, clip_grad_norm
     from .objectives import StepContext, build_objective
-    from .perf import OpProfiler, fusion
+    from .perf import OpProfiler
 
+    for name in ("steps", "batch_size", "dim"):
+        value = getattr(args, name)
+        if value < 1:
+            print(f"--{name.replace('_', '-')} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     runner = _runner(args, epochs=0)
     if args.artifact:
         recommender = NeuralRecommender.from_artifact(args.artifact)
@@ -648,7 +652,7 @@ def _cmd_profile(args) -> int:
         cl_weight=float(train_defaults.get("cl_weight", 0.1)),
         num_ops=spec.num_ops,
     )
-    with default_dtype(args.dtype), fusion(not args.no_fusion):
+    with default_dtype(args.dtype):
         model = recommender.model if args.artifact else recommender.build_model()
         optimizer = Adam(model.parameters(), lr=args.lr)
         loader = DataLoader(
@@ -674,9 +678,8 @@ def _cmd_profile(args) -> int:
                 clip_grad_norm(model.parameters(), 5.0)
                 optimizer.step()
         elapsed = time.perf_counter() - start
-    mode = "unfused" if args.no_fusion else "fused"
     print(
-        f"{args.model} ({mode}, {args.dtype}): {args.steps} steps in {elapsed:.3f}s "
+        f"{args.model} ({args.dtype}): {args.steps} steps in {elapsed:.3f}s "
         f"({args.steps / elapsed:.2f} steps/s), "
         f"{profiler.backward_nodes} backward nodes"
     )

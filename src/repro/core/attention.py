@@ -103,16 +103,11 @@ class OperationAwareSelfAttention(Module):
 
         # Content/position part of e_ij (Eq. 16): q_i . (x_j + p_j)
         scores = (q @ keys.swapaxes(-1, -2)) * scale  # [B, T, T]
-        fused_dyadic = use_dyadic and _fused.fusion_enabled()
         if use_dyadic:
             rel_ids = relation_ids(seq_ops, seq_ops, self.num_ops)  # [B, T, T]
-            if fused_dyadic:
-                # Gather-free Shaw-style kernel: never materializes the
-                # [B, T, T, d] relation tensor (see repro.perf.fused).
-                scores = scores + _fused.relation_scores(q, self.relations.weight, rel_ids) * scale
-            else:
-                rel = self.relations(rel_ids)  # [B, T, T, d]
-                scores = scores + (q.unsqueeze(2) * rel).sum(axis=3) * scale
+            # Gather-free Shaw-style kernel: never materializes the
+            # [B, T, T, d] relation tensor (see repro.perf.fused).
+            scores = scores + _fused.relation_scores(q, self.relations.weight, rel_ids) * scale
 
         bias = np.where(seq_mask.astype(bool)[:, None, :], 0.0, _NEG_INF)
         alpha = (scores + Tensor(np.broadcast_to(bias, (B, T, T)).copy())).softmax(axis=-1)
@@ -120,10 +115,7 @@ class OperationAwareSelfAttention(Module):
         # Value side (Eq. 14): sum_j alpha_ij (x_j + e_{r_ij} + e_{p_j})
         z = alpha @ keys
         if use_dyadic:
-            if fused_dyadic:
-                z = z + _fused.relation_values(alpha, self.relations.weight, rel_ids)
-            else:
-                z = z + (alpha.unsqueeze(3) * rel).sum(axis=2)
+            z = z + _fused.relation_values(alpha, self.relations.weight, rel_ids)
 
         # Post block (paper: FFN + residual + layer norm + dropout).
         z = self.norm(z + self.dropout(self.ffn(z)))

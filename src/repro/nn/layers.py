@@ -34,12 +34,7 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,))) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _fused.fusion_enabled():
-            return _fused.addmm(x, self.weight, self.bias)
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        return _fused.addmm(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -63,10 +58,7 @@ class Embedding(Module):
         self.weight = Parameter(weight)
 
     def forward(self, indices: np.ndarray) -> Tensor:
-        indices = np.asarray(indices, dtype=np.int64)
-        if _fused.fusion_enabled():
-            return _fused.embedding_lookup(self.weight, indices)
-        return self.weight.take(indices, axis=0)
+        return _fused.embedding_lookup(self.weight, indices)
 
 
 class LayerNorm(Module):

@@ -38,10 +38,4 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, total: int | None = None)
         raise ValueError(f"logits must be 2-D, got shape {logits.shape}")
     if targets.shape[0] != logits.shape[0]:
         raise ValueError("batch size mismatch between logits and targets")
-    if _fused.fusion_enabled():
-        return _fused.log_softmax_nll(logits, targets, total=total)
-    log_probs = logits.log_softmax(axis=-1)
-    picked = log_probs[np.arange(targets.shape[0]), targets]
-    if total is None or total == targets.shape[0]:
-        return -picked.mean()
-    return -(picked.sum() / float(total))
+    return _fused.log_softmax_nll(logits, targets, total=total)

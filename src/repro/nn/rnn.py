@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autograd import Tensor, stack
+from ..autograd import Tensor
 from ..perf import fused as _fused
 from .init import scaled_uniform, zeros
 from .module import Module, Parameter
@@ -32,15 +32,10 @@ class GRUCell(Module):
 
     def forward(self, x: Tensor, h: Tensor) -> Tensor:
         """Advance one step: ``x`` is [B, input_dim], ``h`` is [B, hidden_dim]."""
-        if _fused.fusion_enabled():
-            return _fused.gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
-        d = self.hidden_dim
-        gi = x @ self.w_ih + self.b_ih
-        gh = h @ self.w_hh + self.b_hh
-        z = (gi[:, :d] + gh[:, :d]).sigmoid()
-        r = (gi[:, d : 2 * d] + gh[:, d : 2 * d]).sigmoid()
-        n = (gi[:, 2 * d :] + r * gh[:, 2 * d :]).tanh()
-        return (1.0 - z) * n + z * h
+        outputs = _fused.gru_sequence(
+            x.unsqueeze(1), self.w_ih, self.w_hh, self.b_ih, self.b_hh, h0=h
+        )
+        return outputs[:, 0, :]
 
 
 class GRU(Module):
@@ -71,8 +66,7 @@ class GRU(Module):
         ----------
         mask:
             Optional [B, T] array of any dtype; 0 marks padding and every
-            non-zero value a valid step (normalised here, once, for both the
-            fused and the composed path).
+            non-zero value a valid step.
         h0:
             Optional initial state [B, hidden_dim]; zeros by default.
 
@@ -86,25 +80,10 @@ class GRU(Module):
         if steps == 0:  # no step, so no state change: outputs are empty
             empty = Tensor(np.zeros((batch, 0, self.hidden_dim), dtype=x.data.dtype))
             return empty, h0 if h0 is not None else self._zero_state(x)
-        if mask is not None:
-            mask = mask != 0
-        if _fused.fusion_enabled():
-            cell = self.cell
-            outputs = _fused.gru_sequence(
-                x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask=mask, h0=h0
-            )
-            # Padded steps carry the state forward, so the last column IS the
-            # final state even for sequences that end before step T.
-            return outputs, outputs[:, -1, :]
-        h = h0 if h0 is not None else self._zero_state(x)
-        outputs = []
-        for t in range(steps):
-            x_t = x[:, t, :]
-            h_new = self.cell(x_t, h)
-            if mask is not None:
-                m = Tensor(mask[:, t : t + 1].astype(x.data.dtype))
-                h = m * h_new + (1.0 - m) * h
-            else:
-                h = h_new
-            outputs.append(h)
-        return stack(outputs, axis=1), h
+        cell = self.cell
+        outputs = _fused.gru_sequence(
+            x, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh, mask=mask, h0=h0
+        )
+        # Padded steps carry the state forward, so the last column IS the
+        # final state even for sequences that end before step T.
+        return outputs, outputs[:, -1, :]

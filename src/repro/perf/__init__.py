@@ -6,33 +6,24 @@ time goes (per-op backward-node counts and times, per-module forward
 self/cumulative time), and the fused kernels collapse the hottest op
 compositions into single autograd nodes with hand-written backwards.
 
-The ``nn`` layers consult :func:`fusion_enabled` at forward time, so
-``set_fusion(False)`` restores the generic composed ops everywhere —
-parity tests and the training benchmark rely on that toggle.
+The ``nn`` layers call the kernels unconditionally; the compositions they
+replace live on only as test oracles in ``tests/perf``.
 """
 
 from .fused import (
     addmm,
     embedding_lookup,
-    fusion,
-    fusion_enabled,
-    gru_cell,
     gru_sequence,
     log_softmax_nll,
     relation_scores,
     relation_values,
-    set_fusion,
 )
 from .profiler import OpProfiler, active_profiler
 
 __all__ = [
     "OpProfiler",
     "active_profiler",
-    "fusion_enabled",
-    "set_fusion",
-    "fusion",
     "addmm",
-    "gru_cell",
     "gru_sequence",
     "embedding_lookup",
     "relation_scores",

@@ -7,7 +7,6 @@ uses. Each kernel here replaces a whole composition with ONE graph node:
 
 ======================  ====================================================
 ``addmm``               ``x @ W + b`` (3 nodes -> 1)
-``gru_cell``            one GRU timestep incl. mask update (~20 nodes -> 1)
 ``gru_sequence``        a whole [B, T] GRU unroll (~20*T nodes -> 1)
 ``embedding_lookup``    gather with scatter-add backward into a buffer the
                         parameter reuses across steps (no fresh
@@ -19,18 +18,14 @@ uses. Each kernel here replaces a whole composition with ONE graph node:
 ``log_softmax_nll``     log-softmax + NLL loss (softmax cross-entropy)
 ======================  ====================================================
 
-Every kernel is verified two ways in ``tests/perf``: against central
-finite differences (``repro.autograd.gradcheck``) and against the unfused
-composition, in float32 and float64, batched and length-1.
-
-Fusion is globally toggleable (:func:`set_fusion`) so benchmarks can
-measure honest before/after numbers and parity tests can compare both
-paths; the ``nn`` layers consult :func:`fusion_enabled` on every forward.
+The kernels are the implementation: the ``nn`` layers and EMBSR's
+attention call them unconditionally. Each is verified in ``tests/perf``
+against central finite differences (``repro.autograd.gradcheck``) and
+against the composition it replaces, kept there as an oracle, in float32
+and float64 (the contract per kernel is in ``docs/performance.md``).
 """
 
 from __future__ import annotations
-
-import contextlib
 
 import numpy as np
 
@@ -38,42 +33,13 @@ from ..autograd import tensor as _tensor
 from ..autograd.tensor import Tensor, _stable_sigmoid
 
 __all__ = [
-    "fusion_enabled",
-    "set_fusion",
-    "fusion",
     "addmm",
-    "gru_cell",
     "gru_sequence",
     "embedding_lookup",
     "relation_scores",
     "relation_values",
     "log_softmax_nll",
 ]
-
-_FUSION_ENABLED = True
-
-
-def fusion_enabled() -> bool:
-    """Whether the ``nn`` layers should route through the fused kernels."""
-    return _FUSION_ENABLED
-
-
-def set_fusion(enabled: bool) -> bool:
-    """Globally enable/disable the fused fast path; returns the old value."""
-    global _FUSION_ENABLED
-    previous = _FUSION_ENABLED
-    _FUSION_ENABLED = bool(enabled)
-    return previous
-
-
-@contextlib.contextmanager
-def fusion(enabled: bool):
-    """Scoped :func:`set_fusion` (restores the previous setting on exit)."""
-    previous = set_fusion(enabled)
-    try:
-        yield
-    finally:
-        set_fusion(previous)
 
 
 def _tracking(*tensors: Tensor) -> bool:
@@ -118,94 +84,6 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 # ----------------------------------------------------------------------
 # GRU
 # ----------------------------------------------------------------------
-def _gru_forward_step(x_t, h_prev, w_ih, w_hh, b_ih, b_hh, d):
-    """One raw-NumPy GRU step; returns (h_new, z, r, n, gh_n).
-
-    Matches the unfused composition bit for bit: same gate layout
-    [update | reset | candidate], same stable sigmoid, same update order.
-    """
-    gi = np.matmul(x_t, w_ih) + b_ih
-    gh = np.matmul(h_prev, w_hh) + b_hh
-    z = _stable_sigmoid(gi[:, :d] + gh[:, :d])
-    r = _stable_sigmoid(gi[:, d : 2 * d] + gh[:, d : 2 * d])
-    gh_n = gh[:, 2 * d :]
-    n = np.tanh(gi[:, 2 * d :] + r * gh_n)
-    h_new = (1.0 - z) * n + z * h_prev
-    return h_new, z, r, n, gh_n
-
-
-def _gru_backward_step(g, h_prev, x_t, z, r, n, gh_n, w_ih, w_hh, mask_col):
-    """Backprop one step; returns (dgi, dgh, dh_prev_partial).
-
-    ``g`` is the gradient into the (possibly mask-updated) output state;
-    ``dh_prev_partial`` excludes the ``dgh @ w_hh.T`` term, which the
-    caller adds (it needs ``dgh`` anyway for the weight gradients).
-    """
-    if mask_col is not None:
-        g_new = g * mask_col
-        dh_prev = g * (1.0 - mask_col)
-    else:
-        g_new = g
-        dh_prev = 0.0
-    dz = g_new * (h_prev - n)
-    dn = g_new * (1.0 - z)
-    dh_prev = dh_prev + g_new * z
-    dn_pre = dn * (1.0 - n * n)
-    dr = dn_pre * gh_n
-    dgh_n = dn_pre * r
-    dz_pre = dz * z * (1.0 - z)
-    dr_pre = dr * r * (1.0 - r)
-    dgi = np.concatenate([dz_pre, dr_pre, dn_pre], axis=1)
-    dgh = np.concatenate([dz_pre, dr_pre, dgh_n], axis=1)
-    return dgi, dgh, dh_prev
-
-
-def gru_cell(
-    x: Tensor,
-    h: Tensor,
-    w_ih: Tensor,
-    w_hh: Tensor,
-    b_ih: Tensor,
-    b_hh: Tensor,
-    mask_col: np.ndarray | None = None,
-) -> Tensor:
-    """One GRU timestep as a single node (Cho et al., 2014).
-
-    ``x`` is [B, in], ``h`` is [B, d]; gates are fused
-    [update | reset | candidate] exactly like :class:`repro.nn.GRUCell`.
-    ``mask_col`` ([B, 1], constant) folds the padded-step state carry
-    ``m * h_new + (1 - m) * h`` into the same node.
-    """
-    d = h.data.shape[-1]
-    h_new, z, r, n, gh_n = _gru_forward_step(
-        x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, d
-    )
-    out_data = mask_col * h_new + (1.0 - mask_col) * h.data if mask_col is not None else h_new
-    if not _tracking(x, h, w_ih, w_hh, b_ih, b_hh):
-        return Tensor(out_data)
-
-    def backward() -> None:
-        x_data, h_data = x.data, h.data
-        dgi, dgh, dh_prev = _gru_backward_step(
-            out.grad, h_data, x_data, z, r, n, gh_n, w_ih.data, w_hh.data, mask_col
-        )
-        if x.requires_grad:
-            x._accumulate(np.matmul(dgi, w_ih.data.T))
-        if h.requires_grad:
-            h._accumulate(dh_prev + np.matmul(dgh, w_hh.data.T))
-        if w_ih.requires_grad:
-            w_ih._accumulate(x_data.T @ dgi)
-        if w_hh.requires_grad:
-            w_hh._accumulate(h_data.T @ dgh)
-        if b_ih.requires_grad:
-            b_ih._accumulate(dgi.sum(axis=0))
-        if b_hh.requires_grad:
-            b_hh._accumulate(dgh.sum(axis=0))
-
-    out = Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
-    return out
-
-
 def gru_sequence(
     x: Tensor,
     w_ih: Tensor,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import nn, perf
+from repro import nn
 from repro.autograd import Tensor, check_gradients
 
 
@@ -71,42 +71,38 @@ class TestGRU:
         final.sum().backward()
         assert np.allclose(x.grad[0, 1:], 0.0)
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize(
         "as_mask",
         [lambda m: m.astype(bool), lambda m: m.astype(np.int64), lambda m: m * 2.0, lambda m: m * 0.5],
         ids=["bool", "int", "zero-two", "half"],
     )
-    def test_nonzero_mask_means_valid(self, rng, as_mask, fused):
+    def test_nonzero_mask_means_valid(self, rng, as_mask):
         """A mask value selects a step, it never weights one: 2 or 0.5 used
-        to blend ``m * h_new + (1 - m) * h`` in both paths."""
+        to blend ``m * h_new + (1 - m) * h``."""
         gru = nn.GRU(3, 4, rng=rng)
         x = Tensor(rng.normal(size=(3, 4, 3)), requires_grad=True)
         h0 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         zero_one = np.array([[1, 1, 0, 0], [1, 0, 1, 1], [0, 0, 0, 0]], dtype=float)
 
-        def run(mask, fusion):
+        def run(mask):
             for p in [x, h0, *gru.parameters()]:
                 p.zero_grad()
-            with perf.fusion(fusion):
-                outs, final = gru(x, mask, h0=h0)
+            outs, final = gru(x, mask, h0=h0)
             (outs.sum() + final.sum()).backward()
             results = [outs.data, final.data, x.grad, h0.grad] + [p.grad for p in gru.parameters()]
             return [np.array(r) for r in results]  # the next run reuses gradient buffers
 
-        reference = run(zero_one, fusion=True)
-        for got, want in zip(run(as_mask(zero_one), fusion=fused), reference):
+        reference = run(zero_one)
+        for got, want in zip(run(as_mask(zero_one)), reference):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
-    @pytest.mark.parametrize("fused", [True, False])
     @pytest.mark.parametrize("with_h0", [True, False])
-    def test_empty_time_axis(self, rng, fused, with_h0):
+    def test_empty_time_axis(self, rng, with_h0):
         """T = 0: no step runs, so the final state is the initial state."""
         gru = nn.GRU(3, 4, rng=rng)
         x = Tensor(np.zeros((2, 0, 3)), requires_grad=True)
         h0 = Tensor(rng.normal(size=(2, 4)), requires_grad=True) if with_h0 else None
-        with perf.fusion(fused):
-            outs, final = gru(x, np.zeros((2, 0)), h0=h0)
+        outs, final = gru(x, np.zeros((2, 0)), h0=h0)
         assert outs.shape == (2, 0, 4)
         assert final.shape == (2, 4)
         if with_h0:

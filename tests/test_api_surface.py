@@ -99,6 +99,16 @@ def test_training_tape_stays_deleted():
         assert not names & {"compile", "bucket_lengths"}
 
 
+def test_fusion_switch_stays_deleted():
+    """The fused kernels are the implementation: no switch selects another."""
+    import repro.perf
+    import repro.perf.fused
+
+    for module in (repro.perf, repro.perf.fused):
+        for name in ("fusion", "set_fusion", "fusion_enabled", "gru_cell"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
 def test_no_accidental_torch_dependency():
     """The whole point: nothing in the library may import torch."""
     import sys

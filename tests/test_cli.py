@@ -75,6 +75,29 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_removed_fusion_flag_is_rejected(self, capsys):
+        """The fused kernels are the only implementation: nothing to switch off."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["profile", "--dataset", "d.json", "--model", "EMBSR", "--no-fusion"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,name",
+        [
+            (["profile", "--dataset", "d.json", "--steps", "-2"], "--steps"),
+            (["profile", "--dataset", "d.json", "--steps", "0"], "--steps"),
+            (["profile", "--dataset", "d.json", "--batch-size", "0"], "--batch-size"),
+            (["profile", "--dataset", "d.json", "--dim", "0"], "--dim"),
+        ],
+    )
+    def test_nonpositive_profile_sizes_are_rejected(self, argv, name, capsys):
+        """Checked before the dataset is read or a model built."""
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert err.startswith(name) and "must be >= 1" in err
+
     @pytest.mark.parametrize(
         "argv,name",
         [
