@@ -146,7 +146,9 @@ def worker_rss(dataset_sessions: int, seed: int, packed_path: pathlib.Path):
     forked workers; only the storage of the training split differs.
     ``RssAnon`` counts each worker's resident anonymous pages — object
     examples land there, memmap arrays do not (they are ``RssFile``,
-    shared through the page cache).
+    shared through the page cache). The loader packs an object list into
+    in-memory CSR arrays before the fork, so the object baseline holds
+    both the list and that anonymous copy.
     """
     from repro.parallel import DataParallelEngine
 

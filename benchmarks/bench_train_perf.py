@@ -24,23 +24,16 @@ contract of ``docs/performance.md`` § Parallelism). The observed speedup
 is only meaningful when the machine grants at least ``N`` cores; the
 available core count is recorded alongside.
 
-With ``--packed`` (and optionally ``--prefetch``) the script additionally
-benchmarks the packed data pipeline (``repro.data.packed``): loop vs
-vectorized collate per batch, and end-to-end *live-loader* steps/sec —
-collation inside the timed region — object path vs packed columnar, on a
-longer-session dataset where the data path is visible next to compute.
-
 Every run also writes a stable, flat summary to ``BENCH_train.json`` at
-the repository root (schema 3: steps/sec, tokens/sec, collate ms/batch,
-workers, dtype, git rev) so external trackers can diff training
-throughput across commits without parsing the full payload.
+the repository root (schema 4: steps/sec, tokens/sec, workers, dtype, git
+rev) so external trackers can diff training throughput across commits
+without parsing the full payload.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_train_perf.py            # full
     PYTHONPATH=src python benchmarks/bench_train_perf.py --smoke    # CI
     PYTHONPATH=src python benchmarks/bench_train_perf.py --workers 4
-    PYTHONPATH=src python benchmarks/bench_train_perf.py --packed --prefetch
     PYTHONPATH=src python benchmarks/bench_train_perf.py \
         --out benchmarks/results/train_perf_baseline.json           # seed tree
 """
@@ -66,11 +59,6 @@ from repro import nn
 from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
 from repro.data.dataset import DataLoader
 from repro.eval import ExperimentConfig, ExperimentRunner
-
-try:  # absent on trees that predate the packed-data PR
-    from repro.data.packed import pack_dataset
-except ImportError:  # pragma: no cover - exercised only on older trees
-    pack_dataset = None
 
 MODELS = ("EMBSR", "NARM", "SR-GNN")
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
@@ -141,125 +129,6 @@ def measure(name: str, dataset, batches, dim: int, steps: int, warmup: int, seed
         "elapsed_sec": elapsed,
         "steps": steps,
         "final_loss": losses[-1],
-    }
-
-
-def build_heavy_dataset(sessions: int, seed: int):
-    """A longer-session variant of the JD-like data for the packed section.
-
-    The data-pipeline numbers are about *collation* cost, which scales with
-    macro steps and micro ops per session — the default config's short
-    sessions would hide it behind model compute. Kept separate from the
-    main bench dataset so the committed fused baselines stay
-    comparable across revisions.
-    """
-    import dataclasses
-
-    cfg = jd_appliances_config()
-    cfg = dataclasses.replace(cfg, max_macro_len=20, mean_macro_len=12.0)
-    raw = generate_dataset(cfg, sessions, seed=seed)
-    return prepare_dataset(raw, cfg.operations, name="bench-heavy", min_support=3, seed=seed)
-
-
-def collate_benchmark(dataset, packed_ds, batch_size: int, seed: int, repeats: int = 3):
-    """Loop vs vectorized collate over identical index batches.
-
-    Both paths pad the same examples to the same dims with the same op cap
-    and reuse a :class:`CollateBuffers` pool — the exact configuration
-    ``Trainer.fit`` runs — so the per-batch wall-clock is directly
-    comparable; the outputs are bitwise identical
-    (tests/data/test_packed.py pins that).
-    """
-    from repro.data.dataset import CollateBuffers, collate
-
-    split = dataset.train
-    packed_split = packed_ds.train
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(split))
-    index_batches = [
-        order[s : s + batch_size]
-        for s in range(0, len(order) - batch_size + 1, batch_size)
-    ]
-
-    def run(fn):
-        fn(index_batches[0])  # warm caches / first-touch allocations
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for idx in index_batches:
-                fn(idx)
-            best = min(best, time.perf_counter() - start)
-        return best / len(index_batches)
-
-    loop_buf, vec_buf = CollateBuffers(), CollateBuffers()
-    loop_sec = run(
-        lambda idx: collate(
-            [split[int(i)] for i in idx], max_ops_per_item=6, buffers=loop_buf
-        )
-    )
-    vec_sec = run(
-        lambda idx: packed_split.collate(idx, max_ops_per_item=6, buffers=vec_buf)
-    )
-    return {
-        "batch_size": batch_size,
-        "batches": len(index_batches),
-        "repeats": repeats,
-        "loop_ms": loop_sec * 1e3,
-        "vectorized_ms": vec_sec * 1e3,
-        "speedup": loop_sec / vec_sec,
-    }
-
-
-def measure_live(
-    name: str, dataset, packed_ds, dim: int, steps: int, warmup: int, seed: int,
-    batch_size: int, packed: bool = False, prefetch: bool = False, repeats: int = 3,
-):
-    """End-to-end steps/sec through a *live* loader (collation included).
-
-    Unlike :func:`measure`, which pre-collates its batches, this drains the
-    loader inside the timed region — exactly what ``Trainer.fit`` pays per
-    epoch — so packed collation and prefetch overlap show up in the number.
-    Reported as the best of ``repeats`` timed windows (least-interference
-    estimate; the box CI runs on is noisy and single-core).
-    """
-    model = build_model(dataset, name, dim, seed)
-    optimizer = nn.Adam(model.parameters(), lr=0.003)
-    model.train()
-    source = packed_ds.train if packed else dataset.train
-    loader = DataLoader(
-        source, batch_size=batch_size, shuffle=True, seed=seed,
-        max_ops_per_item=6, reuse_buffers=True, prefetch=prefetch,
-    )
-
-    def run(n_steps):
-        done = 0
-        tokens = 0.0
-        start = time.perf_counter()
-        while done < n_steps:
-            for batch in loader:
-                optimizer.zero_grad()
-                logits = model(batch)
-                loss = nn.cross_entropy(logits, batch.target_classes)
-                loss.backward()
-                nn.clip_grad_norm(model.parameters(), 5.0)
-                optimizer.step()
-                tokens += float(batch.micro_mask.sum())
-                done += 1
-                if done >= n_steps:
-                    break
-        return time.perf_counter() - start, tokens
-
-    run(warmup)
-    windows = [run(steps) for _ in range(repeats)]
-    elapsed, tokens = min(windows, key=lambda w: w[0])
-    return {
-        "packed": packed,
-        "prefetch": prefetch,
-        "steps_per_sec": steps / elapsed,
-        "tokens_per_sec": tokens / elapsed,
-        "elapsed_sec": elapsed,
-        "steps": steps,
-        "repeats": repeats,
     }
 
 
@@ -404,16 +273,6 @@ def main(argv=None) -> int:
         help="summation-tree grid for the parallel section (0 = auto: max(workers, 1))",
     )
     parser.add_argument(
-        "--packed", action="store_true",
-        help="also benchmark the packed data pipeline: loop vs vectorized "
-        "collate, and end-to-end live-loader steps/sec object vs packed",
-    )
-    parser.add_argument(
-        "--prefetch", action="store_true",
-        help="enable double-buffered prefetch on the packed live-loader run "
-        "(implies --packed)",
-    )
-    parser.add_argument(
         "--out", default=str(RESULTS_DIR / "train_perf.json"), help="output JSON path"
     )
     parser.add_argument(
@@ -429,9 +288,6 @@ def main(argv=None) -> int:
     dim = args.dim or (16 if args.smoke else 32)
     grad_shards = args.grad_shards or max(args.workers, 1)
     cores = _available_cores()
-    do_packed = (args.packed or args.prefetch) and pack_dataset is not None
-    if (args.packed or args.prefetch) and pack_dataset is None:
-        raise SystemExit("--packed requires the repro.data.packed module")
 
     from repro.autograd import default_dtype
 
@@ -450,44 +306,6 @@ def main(argv=None) -> int:
                 f"{name:8s} {stats['steps_per_sec']:8.2f} steps/s "
                 f"{stats['tokens_per_sec']:10.0f} tokens/s"
             )
-
-        collate_stats = {}
-        live = {}
-        if do_packed:
-            # Longer sessions + a small model: the live numbers isolate the
-            # data pipeline, which short sessions would hide behind compute.
-            heavy = build_heavy_dataset(300 if args.smoke else 600, args.seed)
-            heavy_packed = pack_dataset(heavy)
-            collate_stats = collate_benchmark(
-                heavy, heavy_packed, args.batch_size, args.seed,
-                repeats=2 if args.smoke else 4,
-            )
-            print(
-                f"collate   [b={args.batch_size}] loop {collate_stats['loop_ms']:.3f} ms | "
-                f"vectorized {collate_stats['vectorized_ms']:.3f} ms | "
-                f"{collate_stats['speedup']:.1f}x"
-            )
-            live_dim = 8
-            live_steps = 40 if args.smoke else 100
-            live_repeats = 2 if args.smoke else 3
-            live_warmup = max(warmup, 10)
-            for name in args.models:
-                base = measure_live(
-                    name, heavy, heavy_packed, live_dim, live_steps, live_warmup,
-                    args.seed, args.batch_size, repeats=live_repeats,
-                )
-                fast = measure_live(
-                    name, heavy, heavy_packed, live_dim, live_steps, live_warmup,
-                    args.seed, args.batch_size, repeats=live_repeats,
-                    packed=True, prefetch=args.prefetch,
-                )
-                ratio = fast["steps_per_sec"] / base["steps_per_sec"]
-                live[name] = {"object": base, "packed": fast, "packed_speedup": ratio}
-                print(
-                    f"{name:8s} [live]     object {base['steps_per_sec']:8.2f} steps/s | "
-                    f"packed{'+prefetch' if args.prefetch else ''} "
-                    f"{fast['steps_per_sec']:8.2f} steps/s | {ratio:.2f}x"
-                )
 
         parallel = {}
         if args.workers > 1:
@@ -521,14 +339,9 @@ def main(argv=None) -> int:
             "dtype": args.dtype,
             "workers": args.workers,
             "grad_shards": grad_shards,
-            "has_packed_module": pack_dataset is not None,
-            "packed": do_packed,
-            "prefetch": bool(args.prefetch),
         },
         "results": results,
         "parallel": parallel,
-        "collate": collate_stats,
-        "live": live,
     }
 
     baseline_path = pathlib.Path(args.baseline)
@@ -560,20 +373,11 @@ def main(argv=None) -> int:
             "steps_per_sec": round(source["steps_per_sec"], 4),
             "tokens_per_sec": round(source["tokens_per_sec"], 1),
         }
-        if name in live:
-            # Live-loader numbers (collation inside the timed region):
-            # object path vs packed columnar (+prefetch when enabled).
-            summary_models[name]["steps_per_sec_object_live"] = round(
-                live[name]["object"]["steps_per_sec"], 4
-            )
-            summary_models[name]["steps_per_sec_packed"] = round(
-                live[name]["packed"]["steps_per_sec"], 4
-            )
-            summary_models[name]["packed_speedup"] = round(
-                live[name]["packed_speedup"], 3
-            )
+    # Schema 4 drops schema 3's data-pipeline keys (the per-batch collate
+    # timings and the live-loader rates of two loader arms): every loader
+    # now batches through the packed collate, so there is one arm.
     summary = {
-        "schema": 3,
+        "schema": 4,
         "generated_by": "benchmarks/bench_train_perf.py",
         "git_rev": payload["meta"]["git_rev"],
         "python": payload["meta"]["python"],
@@ -596,14 +400,6 @@ def main(argv=None) -> int:
         "parallel_bitwise_identical": all(
             entry["bitwise_identical"] for entry in parallel.values()
         ) if parallel else None,
-        # Schema 3: packed-pipeline numbers (null when --packed was off).
-        "packed": do_packed,
-        "prefetch": bool(args.prefetch) if do_packed else None,
-        "collate_ms_per_batch": {
-            "loop": round(collate_stats["loop_ms"], 4),
-            "vectorized": round(collate_stats["vectorized_ms"], 4),
-            "speedup": round(collate_stats["speedup"], 2),
-        } if collate_stats else None,
     }
     SUMMARY_PATH.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {SUMMARY_PATH}")

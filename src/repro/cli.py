@@ -103,18 +103,6 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         help="gradient summation-tree grid; 0 = auto (follows --workers), "
         "1 = the classic whole-batch path (docs/performance.md, Parallelism)",
     )
-    p.add_argument(
-        "--packed",
-        action="store_true",
-        help="train from columnar packed storage with the zero-loop "
-        "vectorized collate; batches are bit-identical (docs/data.md)",
-    )
-    p.add_argument(
-        "--prefetch",
-        action="store_true",
-        help="collate the next batch on a background thread while the "
-        "current step runs (double-buffered; bit-identical)",
-    )
 
 
 def _add_objective_args(p: argparse.ArgumentParser) -> None:
@@ -450,8 +438,6 @@ def _runner(args, epochs: int | None = None) -> ExperimentRunner:
         resume_from=getattr(args, "resume", None),
         workers=getattr(args, "workers", 1),
         grad_shards=getattr(args, "grad_shards", 0),
-        packed=getattr(args, "packed", False),
-        prefetch=getattr(args, "prefetch", False),
         objective=getattr(args, "objective", None),
         cl_weight=getattr(args, "cl_weight", None),
     )

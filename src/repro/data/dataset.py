@@ -166,6 +166,13 @@ def padded_dims(
     return n_max, k_max, t_max
 
 
+def _check_max_ops(max_ops_per_item: int | None) -> None:
+    # A cap below 1 keeps no operation, so the last-op lookup has nothing
+    # to read; the value may come from an artifact header, so name it.
+    if max_ops_per_item is not None and max_ops_per_item < 1:
+        raise ValueError(f"max_ops_per_item must be >= 1 or None, got {max_ops_per_item}")
+
+
 def collate(
     examples: Sequence[MacroSession],
     max_ops_per_item: int | None = None,
@@ -173,6 +180,14 @@ def collate(
     pad_to: tuple[int, int, int] | None = None,
 ) -> SessionBatch:
     """Pad a list of examples into one :class:`SessionBatch`.
+
+    A Python loop over examples and ops. It is the path for live sessions
+    and the oracle every packed-collate test compares against; a
+    :class:`DataLoader` batches through the vectorized
+    :func:`~repro.data.packed.collate_packed` instead. The loop wins at the
+    one or two sessions a serving flush collates, where packing first
+    costs more than it saves, and loses from a few dozen sessions up
+    (``docs/data.md``, "Two collates").
 
     With ``buffers`` the batch arrays are zeroed views into the pool's
     grow-only storage instead of fresh allocations — see
@@ -182,6 +197,7 @@ def collate(
     """
     if not examples:
         raise ValueError("cannot collate an empty list of examples")
+    _check_max_ops(max_ops_per_item)
     batch = len(examples)
     n_max, k_max, t_max = padded_dims(examples, max_ops_per_item)
     if pad_to is not None:
@@ -251,10 +267,11 @@ class DataLoader:
     single-mutating-stream loader emitted (epoch 0 included) while letting
     a resumed run replay any epoch's order via :meth:`set_epoch`.
 
-    ``examples`` may be a plain ``Sequence[MacroSession]`` or a
-    ``repro.data.packed.PackedSplit`` (detected by duck typing); with a
-    packed split every batch is built by the zero-loop vectorized collate
-    over CSR arrays, bit-identical to the object path.
+    ``examples`` is a :class:`~repro.data.packed.PackedSplit` or any
+    sequence of :class:`MacroSession`; a sequence is packed into CSR arrays
+    once, here. Every batch is then built by the vectorized
+    :func:`~repro.data.packed.collate_packed`, bitwise :func:`collate` on
+    the same examples.
     """
 
     def __init__(
@@ -265,12 +282,15 @@ class DataLoader:
         seed: int = 0,
         max_ops_per_item: int | None = 6,
         reuse_buffers: bool = False,
-        prefetch: bool = False,
     ):
+        from .packed import PackedSplit  # packed.py imports this module
+
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        self._packed = bool(getattr(examples, "__packed_split__", False))
-        self.examples = examples if self._packed else list(examples)
+        _check_max_ops(max_ops_per_item)
+        if not isinstance(examples, PackedSplit):
+            examples = PackedSplit.from_examples(list(examples))
+        self.examples = examples
         self.batch_size = batch_size
         self.shuffle = shuffle
         self.seed = seed
@@ -280,13 +300,6 @@ class DataLoader:
         # only valid until the next one (safe for consume-as-you-go loops
         # like Trainer.fit; NOT for `list(loader)`). See CollateBuffers.
         self._buffers = CollateBuffers() if reuse_buffers else None
-        # Opt-in: collate batch b+1 on a background thread while the
-        # training step runs on batch b. Uses two ping-ponged buffer pools,
-        # so prefetch implies the CollateBuffers aliasing contract whether
-        # or not reuse_buffers is set: a yielded batch is valid only until
-        # the next one is requested. Batch contents and order are
-        # bit-identical to the synchronous path.
-        self.prefetch = prefetch
 
     def __len__(self) -> int:
         return (len(self.examples) + self.batch_size - 1) // self.batch_size
@@ -329,12 +342,10 @@ class DataLoader:
     def subset_dims(self, indices: Sequence[int]) -> tuple[int, int, int]:
         """The ``(n, k, t)`` padding for the examples at ``indices``.
 
-        Works for both object and packed storage, so shard workers never
-        have to materialize examples just to measure them.
+        Read off the CSR arrays, so shard workers never materialize
+        examples just to measure them.
         """
-        if self._packed:
-            return self.examples.padded_dims(indices, self.max_ops_per_item)
-        return padded_dims([self.examples[i] for i in indices], self.max_ops_per_item)
+        return self.examples.padded_dims(indices, self.max_ops_per_item)
 
     def collate_indices(
         self,
@@ -352,85 +363,15 @@ class DataLoader:
         (shard workers pad their rows to the full batch's dimensions into
         a private pool).
         """
-        if buffers is None:
-            buffers = self._buffers
-        if self._packed:
-            return self.examples.collate(
-                indices,
-                max_ops_per_item=self.max_ops_per_item,
-                buffers=buffers,
-                pad_to=pad_to,
-            )
-        chunk = [self.examples[i] for i in indices]
-        return collate(
-            chunk,
+        return self.examples.collate(
+            indices,
             max_ops_per_item=self.max_ops_per_item,
-            buffers=buffers,
+            buffers=self._buffers if buffers is None else buffers,
             pad_to=pad_to,
         )
 
     def __iter__(self) -> Iterator[SessionBatch]:
         order = self.permutation(self.epoch)
         self.epoch += 1
-        if self.prefetch:
-            yield from self._iter_prefetch(order)
-        else:
-            yield from self._iter_sync(order)
-
-    def _iter_sync(self, order: np.ndarray) -> Iterator[SessionBatch]:
         for start in range(0, len(order), self.batch_size):
             yield self.collate_indices(order[start : start + self.batch_size])
-
-    def _iter_prefetch(self, order: np.ndarray) -> Iterator[SessionBatch]:
-        """Double-buffered iteration: one producer thread, two buffer pools.
-
-        The producer collates batch ``b+1`` into a free pool while the
-        consumer's step runs on batch ``b``. A pool is recycled only when
-        the consumer asks for the *next* batch, so each yielded batch stays
-        valid exactly as long as the CollateBuffers contract promises.
-        """
-        import queue
-        import threading
-
-        pools = (CollateBuffers(), CollateBuffers())
-        free: queue.Queue = queue.Queue()
-        ready: queue.Queue = queue.Queue()
-        for pool in pools:
-            free.put(pool)
-        stop = threading.Event()
-
-        def produce() -> None:
-            try:
-                for start in range(0, len(order), self.batch_size):
-                    pool = free.get()
-                    if stop.is_set():
-                        return
-                    batch = self.collate_indices(
-                        order[start : start + self.batch_size], buffers=pool
-                    )
-                    ready.put((batch, pool))
-                ready.put(None)
-            except BaseException as exc:  # surfaced on the consumer side
-                ready.put(exc)
-
-        thread = threading.Thread(
-            target=produce, name="dataloader-prefetch", daemon=True
-        )
-        thread.start()
-        held = None
-        try:
-            while True:
-                item = ready.get()
-                if item is None:
-                    return
-                if isinstance(item, BaseException):
-                    raise item
-                batch, pool = item
-                if held is not None:
-                    free.put(held)  # consumer moved on; recycle its pool
-                held = pool
-                yield batch
-        finally:
-            stop.set()
-            free.put(pools[0])  # unblock a producer parked on free.get()
-            thread.join(timeout=5.0)

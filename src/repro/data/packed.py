@@ -1,11 +1,10 @@
 """Columnar packed datasets: CSR ragged arrays, zero-loop collation, memmap.
 
-``repro.data.dataset`` batches ``list[MacroSession]`` — per-example Python
-objects walked by a nested Python loop in :func:`~repro.data.dataset.collate`.
-That representation is flexible but it is both the RAM ceiling at
-million-session scale (every session is dozens of heap objects) and, after
-the fused kernels, the dominant per-step cost for the fast models:
-collation time is pure interpreter overhead.
+A list of :class:`~repro.data.schema.MacroSession` is dozens of heap
+objects per session, and :func:`~repro.data.dataset.collate` walks them in
+a nested Python loop. That is the RAM ceiling at million-session scale,
+and past a few sessions per batch the loop is slower than array gathers
+(collation is ~1 % of an EMBSR training step either way).
 
 This module stores a dataset **columnarly** instead, in CSR-style ragged
 arrays:
@@ -23,7 +22,9 @@ On top of that layout:
   with fancy-index gathers/scatters and ``np.add.reduceat`` — **no Python
   loop over examples or ops** — and is bitwise-identical to the loop
   collate, including ``max_ops_per_item`` truncation, ``pad_to``, and
-  :class:`~repro.data.dataset.CollateBuffers` reuse.
+  :class:`~repro.data.dataset.CollateBuffers` reuse. It is the only batch
+  path of :class:`~repro.data.dataset.DataLoader`, which packs a list of
+  examples once, at construction.
 * :meth:`PackedDataset.save` writes one self-describing file (JSON header +
   64-byte-aligned raw arrays) atomically via
   :func:`repro.reliability.atomic.atomic_write`; :func:`load_packed` maps it
@@ -103,8 +104,6 @@ class PackedSplit:
     iteration — materializing examples on demand) that existing consumers
     keep working, while the batching path never touches Python objects.
     """
-
-    __packed_split__ = True
 
     def __init__(
         self,
@@ -377,8 +376,6 @@ class PackedDataset:
     surface, backed by arrays instead of Python objects.
     """
 
-    __packed_dataset__ = True
-
     def __init__(
         self,
         name: str,
@@ -574,7 +571,7 @@ def load_packed(path: str | pathlib.Path, mmap: bool = True) -> PackedDataset:
 
 def pack_dataset(dataset) -> PackedDataset:
     """Pack a :class:`PreparedDataset` (already-packed inputs pass through)."""
-    if getattr(dataset, "__packed_dataset__", False):
+    if isinstance(dataset, PackedDataset):
         return dataset
     from .stats import dataset_fingerprint
 

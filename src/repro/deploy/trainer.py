@@ -22,7 +22,7 @@ from collections import OrderedDict, deque
 import numpy as np
 
 from ..autograd import default_dtype
-from ..data.dataset import collate
+from ..data.packed import PackedSplit
 from ..data.schema import MacroSession
 from ..nn import Adam, clip_grad_norm
 from ..serve import LiveSession
@@ -152,6 +152,7 @@ class OnlineTrainer:
         )
         run_seed = self.seed + self.snapshots_emitted
         rng = np.random.default_rng(run_seed)
+        split = PackedSplit.from_examples(examples)
         with default_dtype(spec.dtype):
             model = self.base.build_model()
             model.load_state_dict(self._weights)
@@ -161,8 +162,10 @@ class OnlineTrainer:
             for mini_epoch in range(self.mini_epochs):
                 order = rng.permutation(len(examples))
                 for batch_no, start in enumerate(range(0, len(order), self.batch_size)):
-                    chunk = [examples[i] for i in order[start : start + self.batch_size]]
-                    batch = collate(chunk, max_ops_per_item=self.max_ops_per_item)
+                    batch = split.collate(
+                        order[start : start + self.batch_size],
+                        max_ops_per_item=self.max_ops_per_item,
+                    )
                     optimizer.zero_grad()
                     objective.begin_step(
                         StepContext(seed=run_seed, epoch=mini_epoch, batch_index=batch_no)

@@ -28,18 +28,8 @@ MODEL_NAMES = list(TABLE3_MODELS)
 # and the worker count (parallelism changes wall-clock, never the math;
 # the math-bearing knob, grad_shards, IS portable) have no business
 # inside a portable ModelSpec.
-# ``packed``/``prefetch`` are execution-only too: columnar collation is
-# bitwise the loop collate and prefetch only overlaps it with the step.
 _NON_PORTABLE_TRAIN_FIELDS = frozenset(
-    {
-        "checkpoint_path",
-        "checkpoint_every",
-        "resume_from",
-        "verbose",
-        "workers",
-        "packed",
-        "prefetch",
-    }
+    {"checkpoint_path", "checkpoint_every", "resume_from", "verbose", "workers"}
 )
 
 
@@ -65,10 +55,6 @@ class ExperimentConfig:
     # Data-parallel training (docs/performance.md, "Parallelism").
     workers: int = 1
     grad_shards: int = 0  # 0 = auto (follows workers); 1 = classic path
-    # Packed data pipeline (docs/data.md): columnar storage + vectorized
-    # collate, and double-buffered background collation.
-    packed: bool = False
-    prefetch: bool = False
     # Training objective (docs/objectives.md). None = defer to the model's
     # registry entry (EMBSR-SSL pins "ssl"); set explicitly to override.
     objective: str | None = None
@@ -92,8 +78,6 @@ class ExperimentConfig:
             resume_from=self.resume_from,
             workers=self.workers,
             grad_shards=self.grad_shards,
-            packed=self.packed,
-            prefetch=self.prefetch,
             **overrides,
         )
 
@@ -170,8 +154,6 @@ class ExperimentRunner:
             checkpoint_every=cfg.checkpoint_every,
             resume_from=cfg.resume_from,
             workers=cfg.workers,
-            packed=cfg.packed,
-            prefetch=cfg.prefetch,
         )
         return REGISTRY.build(spec, train=runtime)
 

@@ -91,13 +91,6 @@ class TrainConfig:
     cl_weight: float = 0.1     # weight of the auxiliary term in composites
     # -- parallelism knobs (docs/performance.md, "Parallelism") ------------
     workers: int = 1           # forked data-parallel workers (1 = in-process)
-    # -- data-pipeline knobs (docs/data.md) --------------------------------
-    # Both are pure execution strategy: packed storage collates bitwise the
-    # same batches and prefetch only overlaps their construction with the
-    # step, so neither is resume-critical and either may toggle freely
-    # between (or during) runs.
-    packed: bool = False       # columnar storage + zero-loop vectorized collate
-    prefetch: bool = False     # double-buffered background collation
     grad_shards: int = 0       # summation-tree grid; 0 = auto (max(workers, 1)).
                                # 1 trains the classic whole-batch path bit-for-bit;
                                # G > 1 is bit-identical across ANY worker count.
@@ -282,12 +275,6 @@ class Trainer:
 
     def _run(self, dataset: PreparedDataset, state: TrainingState | None) -> "Trainer":
         cfg = self.config
-        if cfg.packed:
-            # Columnar storage: every loader below batches through the
-            # vectorized collate, bit-identical to the object path.
-            from ..data.packed import pack_dataset
-
-            dataset = pack_dataset(dataset)
         optimizer = Adam(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         scheduler = StepLR(optimizer, step_size=cfg.lr_step, gamma=cfg.lr_gamma)
         train_loader = DataLoader(
@@ -297,7 +284,6 @@ class Trainer:
             seed=cfg.seed,
             max_ops_per_item=cfg.max_ops_per_item,
             reuse_buffers=True,  # batches are consumed before the next collate
-            prefetch=cfg.prefetch,
         )
         if self.objective is None:
             self.objective = build_objective(

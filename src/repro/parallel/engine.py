@@ -57,7 +57,8 @@ import traceback
 import numpy as np
 
 from ..autograd import default_dtype, no_grad
-from ..data.dataset import CollateBuffers, DataLoader, SessionBatch, collate
+from ..data.dataset import CollateBuffers, DataLoader, SessionBatch
+from ..data.packed import PackedSplit
 from .sharding import (
     ParamLayout,
     collect_rng_modules,
@@ -196,7 +197,8 @@ class DataParallelEngine:
     the dataset, and the mapped segments; nothing is pickled). Use as a
     context manager, or call :meth:`shutdown` in a ``finally``.
 
-    ``eval_splits`` maps split names to example lists; :meth:`predict`
+    ``eval_splits`` maps split names to packed splits or example lists
+    (packed once, before the fork); :meth:`predict`
     fans whole batches of a registered split across the workers and
     returns ``(scores, target_classes)`` exactly like ``Trainer.predict``.
     """
@@ -234,12 +236,11 @@ class DataParallelEngine:
         self.objective = objective if objective is not None else _default_objective()
         self.last_components: dict[str, float] = {}
         self._component_names = tuple(self.objective.component_names)
-        # Packed splits stay as CSR arrays (forked workers then share the
-        # file-backed/COW pages instead of each copying an object list);
-        # anything else is materialized once here, before the fork.
+        # Eval splits are CSR arrays, packed here before the fork, so the
+        # workers share the file-backed/COW pages of one copy.
         self._eval_splits = [
-            (name, examples if getattr(examples, "__packed_split__", False) else list(examples))
-            for name, examples in (eval_splits or {}).items()
+            (name, split if isinstance(split, PackedSplit) else PackedSplit.from_examples(split))
+            for name, split in (eval_splits or {}).items()
         ]
         self._split_index = {name: i for i, (name, _) in enumerate(self._eval_splits)}
         self._layout = ParamLayout(model.parameters())
@@ -412,11 +413,7 @@ class DataParallelEngine:
         examples = self._eval_splits[index][1]
         self._command(_CMD_EVAL, index, batch_size)
         scores = self._scores[: len(examples)].copy()
-        if getattr(examples, "__packed_split__", False):
-            targets = examples.targets - 1  # dense column; no object walk
-        else:
-            targets = np.asarray([ex.target for ex in examples], dtype=np.int64) - 1
-        return scores, targets
+        return scores, examples.targets - 1
 
 
 # ----------------------------------------------------------------------
@@ -503,8 +500,8 @@ def _worker_train(
         order = loader.permutation(epoch)
         order_cache[epoch] = order
     start = batch_index * loader.batch_size
-    # Index-based access: for packed storage this reads CSR arrays shared
-    # with the master (memmap/COW pages) — no example objects are walked.
+    # Index-based access reads CSR arrays shared with the master
+    # (memmap/COW pages) — no example objects are walked.
     idx = order[start : start + loader.batch_size]
     total_rows = len(idx)
     bounds = shard_bounds(total_rows, engine.grad_shards)
@@ -550,7 +547,6 @@ def _worker_eval(
 ) -> None:
     """Score this worker's round-robin share of a split's batches."""
     examples = engine._eval_splits[split][1]
-    packed = getattr(examples, "__packed_split__", False)
     max_ops = engine.loader.max_ops_per_item
     model = engine.model
     model.eval()
@@ -559,13 +555,8 @@ def _worker_eval(
             if batch_no % engine.workers != worker_id:
                 continue
             end = min(start + batch_size, len(examples))
-            if packed:
-                batch = examples.collate(
-                    np.arange(start, end), max_ops_per_item=max_ops, buffers=buffers
-                )
-            else:
-                batch = collate(
-                    examples[start:end], max_ops_per_item=max_ops, buffers=buffers
-                )
+            batch = examples.collate(
+                np.arange(start, end), max_ops_per_item=max_ops, buffers=buffers
+            )
             logits = model(batch)
             engine._scores[start:end] = logits.data

@@ -4,14 +4,15 @@
 traversed every sequence twice); ``DataLoader.permutation`` lost a dead
 re-allocation per fast-forwarded epoch. Both rewrites must be observationally
 identical — these tests pin the outputs against naive references and against
-literal golden orders so any future drift is loud.
+literal golden orders so any future drift is loud. A ``max_ops_per_item``
+below 1 is refused with a named error at both batch entry points.
 """
 
 import numpy as np
 import pytest
 
 from repro.data import DataLoader, generate_dataset, jd_appliances_config, prepare_dataset
-from repro.data.dataset import padded_dims
+from repro.data.dataset import collate, padded_dims
 from repro.data.schema import MacroSession
 
 
@@ -133,3 +134,32 @@ def test_loader_epoch_orders_on_real_dataset():
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda examples, cap: DataLoader(examples, max_ops_per_item=cap),
+        lambda examples, cap: collate(examples, max_ops_per_item=cap),
+    ],
+    ids=["loader", "collate"],
+)
+def test_max_ops_below_one_is_a_named_error(entry, cap):
+    with pytest.raises(ValueError, match=f"max_ops_per_item must be >= 1 or None, got {cap}$"):
+        entry(ragged_examples(0, count=4), cap)
+
+
+def test_fit_with_max_ops_zero_is_a_named_error():
+    """The value can arrive from an artifact's train settings: fit names it."""
+    from repro.eval import TrainConfig, Trainer
+    from repro.registry import build_module, spec_for
+
+    cfg = jd_appliances_config()
+    ds = prepare_dataset(
+        generate_dataset(cfg, 60, seed=2), cfg.operations, min_support=2, name="jd"
+    )
+    spec = spec_for("STAMP", num_items=ds.num_items, num_ops=ds.num_operations, dim=8)
+    trainer = Trainer(build_module(spec), TrainConfig(epochs=1, max_ops_per_item=0))
+    with pytest.raises(ValueError, match="max_ops_per_item must be >= 1 or None, got 0"):
+        trainer.fit(ds)

@@ -1,11 +1,10 @@
-"""Data-parallel training from packed (and memmap-backed) datasets.
+"""Data-parallel training from a memmap-backed packed dataset.
 
-The packed pipeline promises bitwise-identical training: columnar collation
-is the loop collate byte-for-byte, and a memmap-loaded dataset is the same
-arrays read through the page cache. So N-worker training from a packed —
-even file-backed — dataset must land on exactly the parameters the object
-path produces, and the workers must share the memmap pages rather than
-materializing per-worker example lists.
+A memmap-loaded dataset is the same CSR arrays read through the page cache,
+so 2-worker training from an ``.rpk`` file must land on exactly the
+parameters of the in-process run on the prepared dataset, and the workers
+must share the memmap pages rather than materializing per-worker example
+lists.
 """
 
 import numpy as np
@@ -15,7 +14,7 @@ from repro.data.packed import load_packed, pack_dataset
 from repro.eval import ExperimentConfig, ExperimentRunner
 
 
-def _fit(dataset, *, workers=1, packed=False, prefetch=False):
+def _fit(dataset, *, workers=1):
     config = ExperimentConfig(
         dim=16,
         epochs=2,
@@ -23,8 +22,6 @@ def _fit(dataset, *, workers=1, packed=False, prefetch=False):
         seed=3,
         workers=workers,
         grad_shards=2,
-        packed=packed,
-        prefetch=prefetch,
     )
     runner = ExperimentRunner(dataset, config)
     recommender = runner.build("NARM")
@@ -33,9 +30,9 @@ def _fit(dataset, *, workers=1, packed=False, prefetch=False):
 
 
 @pytest.fixture(scope="module")
-def object_reference(dataset):
-    """Two-worker object-path run: the bitwise target for every packed run."""
-    return _fit(dataset, workers=2)
+def reference(dataset):
+    """In-process run of the same shard grid on the prepared dataset."""
+    return _fit(dataset)
 
 
 def _assert_states_equal(state, ref):
@@ -44,31 +41,20 @@ def _assert_states_equal(state, ref):
         assert np.array_equal(state[name], ref[name]), name
 
 
-def test_two_workers_packed_flag_bit_identical(dataset, object_reference):
-    state = _fit(dataset, workers=2, packed=True)
-    _assert_states_equal(state, object_reference)
-
-
-def test_two_workers_packed_prefetch_bit_identical(dataset, object_reference):
-    state = _fit(dataset, workers=2, packed=True, prefetch=True)
-    _assert_states_equal(state, object_reference)
-
-
-def test_two_workers_from_memmap_file_bit_identical(tmp_path, dataset, object_reference):
+def test_two_workers_from_memmap_file_bit_identical(tmp_path, dataset, reference):
     """Training straight off a memmap-loaded .rpk file: same parameters."""
     path = tmp_path / "jd.rpk"
     pack_dataset(dataset).save(path)
     loaded = load_packed(path, mmap=True)
     state = _fit(loaded, workers=2)
-    _assert_states_equal(state, object_reference)
+    _assert_states_equal(state, reference)
 
 
 def test_packed_splits_stay_unmaterialized(dataset):
-    """The engine must not expand a PackedSplit into a per-worker object
-    list — that is the whole memory win of the memmap path."""
+    """The loader must not expand a PackedSplit into an object list (or
+    re-pack it) — that is the whole memory win of the memmap path."""
     from repro.data.dataset import DataLoader
 
     packed = pack_dataset(dataset)
     loader = DataLoader(packed.train, batch_size=32)
-    assert loader.examples is packed.train  # not list(...)
-    assert getattr(loader.examples, "__packed_split__", False)
+    assert loader.examples is packed.train  # not list(...), not re-packed

@@ -133,8 +133,9 @@ class TestCompatibility:
         )
 
     def test_removed_train_keys_are_ignored(self, dataset, tmp_path):
-        """Artifacts written while ``compile``/``bucket_lengths`` existed
-        still carry the keys in ``spec.train``: they build and serve."""
+        """Artifacts written while ``compile``/``bucket_lengths`` or
+        ``packed``/``prefetch`` existed still carry the keys in
+        ``spec.train``: they build and serve."""
         import dataclasses
 
         from repro.serving import ServingGateway
@@ -143,7 +144,9 @@ class TestCompatibility:
         path = tmp_path / "stamp.npz"
         fitted.save(path)
         old = load_artifact(path)
-        train = dict(old.spec.train, compile=True, bucket_lengths=False)
+        train = dict(
+            old.spec.train, compile=True, bucket_lengths=False, packed=True, prefetch=True
+        )
         spec = dataclasses.replace(old.spec, train=train)
         save_artifact(
             path, spec=spec, weights=old.weights, item_ids=old.item_ids, metadata=old.metadata
@@ -152,6 +155,7 @@ class TestCompatibility:
 
         config = spec.train_config()
         assert not hasattr(config, "compile") and not hasattr(config, "bucket_lengths")
+        assert not hasattr(config, "packed") and not hasattr(config, "prefetch")
         restored = NeuralRecommender.from_artifact(path)
         batch = collate(dataset.test[:8])
         np.testing.assert_array_equal(

@@ -156,6 +156,27 @@ class TestResumeValidation:
             trainer.resume(dataset, state_path)
             assert len(trainer.history) == 1
 
+    def test_removed_packed_prefetch_keys_resume_bit_identically(self, dataset, tmp_path):
+        """States written while ``packed``/``prefetch`` existed carry them in
+        their config; those options never changed a batch, so a mid-epoch
+        state resumes to the uninterrupted run's parameters."""
+        state_path = tmp_path / "train_state.npz"
+        reliable = TrainConfig(**TRAIN, checkpoint_path=str(state_path), checkpoint_every=1)
+        crashed = Trainer(new_model(dataset), reliable)
+        rel.arm("trainer.after_batch", rel.crashing(), skip=2)
+        with pytest.raises(rel.SimulatedCrash):
+            crashed.fit(dataset)
+        rel.disarm("trainer.after_batch")
+        state = load_training_state(state_path)
+        assert "packed" not in state.config and "prefetch" not in state.config
+        state.config.update(packed=True, prefetch=True)
+        save_training_state(state_path, state)
+
+        resumed = Trainer(new_model(dataset), reliable)
+        resumed.resume(dataset, state_path)
+        baseline = Trainer(new_model(dataset), TrainConfig(**TRAIN)).fit(dataset)
+        assert_same_params(baseline.model.state_dict(), resumed.model.state_dict())
+
     def test_extending_epochs_is_allowed(self, dataset, tmp_path):
         """epochs is deliberately non-critical: a finished run can continue."""
         state_path = tmp_path / "train_state.npz"

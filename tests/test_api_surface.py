@@ -109,6 +109,24 @@ def test_fusion_switch_stays_deleted():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_object_batch_path_stays_deleted():
+    """One batch path: every loader collates from CSR arrays, no option."""
+    import dataclasses
+
+    from repro.data.dataset import DataLoader
+    from repro.data.packed import PackedDataset, PackedSplit
+    from repro.eval import ExperimentConfig, TrainConfig
+
+    for names in (
+        {f.name for f in dataclasses.fields(TrainConfig)},
+        {f.name for f in dataclasses.fields(ExperimentConfig)},
+    ):
+        assert not names & {"packed", "prefetch"}
+    assert "prefetch" not in inspect.signature(DataLoader.__init__).parameters
+    assert not hasattr(PackedSplit, "__packed_split__")
+    assert not hasattr(PackedDataset, "__packed_dataset__")
+
+
 def test_no_accidental_torch_dependency():
     """The whole point: nothing in the library may import torch."""
     import sys

@@ -75,6 +75,14 @@ class TestParser:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--packed", "--prefetch"])
+    def test_removed_packed_flags_are_rejected(self, flag, capsys):
+        """Every loader batches through the packed collate; nothing to opt into."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train", "--dataset", "d.json", "--model", "EMBSR", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_removed_fusion_flag_is_rejected(self, capsys):
         """The fused kernels are the only implementation: nothing to switch off."""
         with pytest.raises(SystemExit) as exit_info:

@@ -1,5 +1,5 @@
-"""CLI surface of the packed data pipeline: ``repro data pack/inspect``,
-training from ``.rpk`` files, and the ``--packed/--prefetch`` train flags."""
+"""CLI surface of the packed data pipeline: ``repro data pack/inspect``
+and training from ``.rpk`` files."""
 
 
 import pytest
@@ -39,13 +39,6 @@ class TestParser:
     def test_inspect_args(self):
         args = build_parser().parse_args(["data", "inspect", "x.rpk"])
         assert args.data_command == "inspect"
-
-    def test_train_packed_flags(self):
-        base = ["train", "--dataset", "d.json", "--model", "EMBSR"]
-        args = build_parser().parse_args(base)
-        assert not args.packed and not args.prefetch
-        args = build_parser().parse_args(base + ["--packed", "--prefetch"])
-        assert args.packed and args.prefetch
 
 
 class TestPack:
@@ -98,20 +91,6 @@ class TestTrain:
             "train", "--dataset", str(packed_path), "--model", "SKNN",
         ]) == 0
         assert "SKNN" in capsys.readouterr().out
-
-    def test_train_packed_prefetch_matches_object_path(self, artifacts, capsys):
-        """--packed --prefetch changes wall-clock, never the metrics."""
-        _, _, dataset, _ = artifacts
-
-        def run(extra):
-            assert main([
-                "train", "--dataset", str(dataset), "--model", "STAMP",
-                "--epochs", "1", "--dim", "8", *extra,
-            ]) == 0
-            out = capsys.readouterr().out
-            return next(line for line in out.splitlines() if "test metrics" in line)
-
-        assert run([]) == run(["--packed", "--prefetch"])
 
 
 class TestWrongFileKind:
