@@ -52,6 +52,15 @@ embedding size 32, ≤14 epochs — versus the paper's ~600k real sessions and
 d=100. The comparison to read is *within* a column (who wins, by what
 factor), not across ours/paper columns.
 
+Precision: the committed tables are float64 runs, made before float32
+became the default (`repro.autograd.MODEL_DTYPE`, the paper's PyTorch
+precision). `benchmarks/bench_dtype_fidelity.py` trains EMBSR, SGNN-HN and
+NARM on Appliances at this scale under seeds 0–4 in both dtypes, paired by
+seed. Every mean paired |Δ| falls inside the pooled seed σ
+(`benchmarks/results/dtype_fidelity.json`): EMBSR H@20 −0.18 (σ 1.18) and
+M@20 −0.08 (σ 0.80), moved by two of the five seeds; SGNN-HN and NARM
+give the same H@20 and M@20 in both dtypes on every seed.
+
 ## Reproduction summary
 
 Robustly reproduced shapes:

@@ -73,12 +73,10 @@ class ModelArtifact:
 
     def build_module(self):
         """Reconstruct the fitted :class:`~repro.nn.Module` (weights loaded)."""
-        from .autograd import default_dtype
         from .registry import build_module
 
-        with default_dtype(self.spec.dtype):
-            model = build_module(self.spec)
-            model.load_state_dict(self.weights)
+        model = build_module(self.spec)
+        model.load_state_dict(self.weights)
         return model
 
     def build(self, train_config=None):
@@ -109,7 +107,11 @@ def save_artifact(
     item_ids: list[int],
     metadata: dict[str, Any] | None = None,
 ) -> pathlib.Path:
-    """Atomically write one self-describing artifact archive at ``path``."""
+    """Atomically write one self-describing artifact archive at ``path``.
+
+    The weights are stored in ``spec.dtype``, so the header always names
+    the dtype of the arrays it describes.
+    """
     artifact = ModelArtifact(spec, dict(weights), list(item_ids), dict(metadata or {}))
     artifact.validate()
     header = {
@@ -122,7 +124,7 @@ def save_artifact(
         _ITEMS_KEY: np.asarray(artifact.item_ids, dtype=np.int64),
     }
     for name, array in artifact.weights.items():
-        arrays[_WEIGHT_PREFIX + name] = array
+        arrays[_WEIGHT_PREFIX + name] = np.asarray(array, dtype=spec.dtype)
     return atomic_save_npz(path, arrays)
 
 

@@ -7,10 +7,12 @@ Public surface:
 - :func:`concat`, :func:`stack`, :func:`where`, :func:`maximum` — multi-input ops
 - :func:`check_gradients` — finite-difference verification
 - :func:`set_default_dtype` / :func:`default_dtype` — float32/float64 policy
+- :data:`MODEL_DTYPE` — the dtype models train, save and serve in (float32)
 """
 
 from .gradcheck import check_gradients, numerical_gradient
 from .tensor import (
+    MODEL_DTYPE,
     Tensor,
     concat,
     default_dtype,
@@ -36,4 +38,5 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
+    "MODEL_DTYPE",
 ]

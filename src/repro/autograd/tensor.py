@@ -17,8 +17,9 @@ Performance notes (docs/performance.md):
   (never mutated), the second allocates a buffer this tensor owns, and all
   later ones are ``+=`` into it. Ownership tracking makes this safe when a
   tensor feeds multiple consumers that hand down the same gradient array.
-- The element dtype is configurable (:func:`set_default_dtype`); float32
-  halves memory traffic for training runs that do not need float64.
+- The element dtype is configurable (:func:`set_default_dtype`). Models
+  train, save and serve in :data:`MODEL_DTYPE` (float32) and enter it
+  themselves; the ambient default stays float64 for gradchecks.
 - ``softmax`` / ``log_softmax`` are single fused nodes with hand-written
   backward rules rather than compositions of five primitive ops.
 
@@ -46,9 +47,20 @@ __all__ = [
     "get_default_dtype",
     "set_default_dtype",
     "default_dtype",
+    "MODEL_DTYPE",
 ]
 
 _GRAD_ENABLED = True
+
+# The dtype models train, save and serve in unless a caller opts into
+# float64 explicitly: the paper's artifact is PyTorch, whose default is
+# float32. Every model-facing ``dtype`` default (TrainConfig,
+# ExperimentConfig, ModelSpec, spec_for, the CLI's --dtype) reads this one
+# name; factorize follows the model it is given. It is *not* the ambient
+# default below, which stays float64: check_gradients' finite differences
+# and the bare-Tensor tests need it, and every model path enters
+# ``default_dtype(<its dtype>)``.
+MODEL_DTYPE = "float32"
 _DEFAULT_DTYPE = np.dtype(np.float64)
 
 # Active profiler (repro.perf.profiler.OpProfiler) or None; assigned via
@@ -79,15 +91,17 @@ def is_grad_enabled() -> bool:
 
 
 def get_default_dtype() -> np.dtype:
-    """Element dtype used for new tensors (float64 unless reconfigured)."""
+    """Ambient element dtype for new tensors (float64 unless reconfigured;
+    models enter their own dtype, :data:`MODEL_DTYPE` by default)."""
     return _DEFAULT_DTYPE
 
 
 def set_default_dtype(dtype) -> np.dtype:
     """Set the element dtype for new tensors; returns the previous dtype.
 
-    ``float32`` mode halves memory traffic and roughly doubles large-matmul
-    throughput; ``float64`` is required for finite-difference gradchecks.
+    ``float32`` (:data:`MODEL_DTYPE`, what models train and serve in)
+    halves memory traffic and roughly doubles large-matmul throughput;
+    ``float64`` is required for finite-difference gradchecks.
     """
     global _DEFAULT_DTYPE
     new = np.dtype(dtype)

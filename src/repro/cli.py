@@ -38,6 +38,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .autograd import MODEL_DTYPE
 from .data import (
     generate_dataset,
     jd_appliances_config,
@@ -132,7 +133,7 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float64")
+    p.add_argument("--dtype", choices=["float32", "float64"], default=MODEL_DTYPE)
     p.add_argument("--checkpoint", default=None, help="save bare parameters here (.npz)")
     p.add_argument(
         "--artifact",
@@ -185,7 +186,7 @@ def _add_compare(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float64")
+    p.add_argument("--dtype", choices=["float32", "float64"], default=MODEL_DTYPE)
     p.add_argument(
         "--artifact-dir",
         default=None,
@@ -213,7 +214,7 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--lr", type=float, default=0.003)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dtype", choices=["float32", "float64"], default="float64")
+    p.add_argument("--dtype", choices=["float32", "float64"], default=MODEL_DTYPE)
     p.add_argument(
         "--artifact",
         default=None,
@@ -259,10 +260,10 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--nprobe", type=int, default=None, help="ANN cells probed per query (default: index spec)")
     p.add_argument(
         "--compute",
-        choices=["native", "float32", "float16", "int8"],
+        choices=["native", "float16", "int8"],
         default="native",
-        help="inference precision of the exact scoring path; quantized modes "
-        "finish with an exact float32 re-rank (docs/performance.md)",
+        help="inference precision of the exact scoring path: native is the model's "
+        "dtype; quantized modes finish with an exact float32 re-rank (docs/performance.md)",
     )
     p.add_argument(
         "--deploy-dir",
@@ -432,7 +433,7 @@ def _runner(args, epochs: int | None = None) -> ExperimentRunner:
         epochs=epochs if epochs is not None else getattr(args, "epochs", 10),
         lr=getattr(args, "lr", 0.005),
         seed=args.seed,
-        dtype=getattr(args, "dtype", "float64"),
+        dtype=getattr(args, "dtype", MODEL_DTYPE),
         checkpoint_path=getattr(args, "train_state_path", None),
         checkpoint_every=getattr(args, "checkpoint_every", 0),
         resume_from=getattr(args, "resume", None),
@@ -903,7 +904,7 @@ def _index_factorization(path):
 
     bundle = load_artifact(path)
     recommender = bundle.build()
-    fact = factorize(recommender.model, dtype=bundle.spec.dtype)
+    fact = factorize(recommender.model)
     if fact is None:
         raise ValueError(
             f"{bundle.spec.name} does not expose encode_sessions(); cannot index"

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..autograd import MODEL_DTYPE
 from ..data.dataset import DataLoader
 from ..data.preprocess import PreparedDataset
 from ..registry import REGISTRY, TABLE3_MODELS
@@ -45,7 +46,7 @@ class ExperimentConfig:
     w_k: float = 12.0
     patience: int = 5
     seed: int = 0
-    dtype: str = "float64"
+    dtype: str = MODEL_DTYPE
     ks: tuple[int, ...] = (5, 10, 20)
     # Crash-safe training (docs/reliability.md): periodic training-state
     # checkpoints and resumption, threaded through to Trainer.fit.

@@ -16,12 +16,13 @@ aborts with a clear error once its retry budget is spent.
 
 from __future__ import annotations
 
+import dataclasses
 import pathlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..autograd import default_dtype, no_grad
+from ..autograd import MODEL_DTYPE, default_dtype, no_grad
 from ..data.dataset import DataLoader, SessionBatch
 from ..data.preprocess import PreparedDataset
 from ..nn import Adam, Module, StepLR, clip_grad_norm
@@ -84,7 +85,7 @@ class TrainConfig:
     selection_metric: str = "M@20"
     max_ops_per_item: int = 6
     seed: int = 0
-    dtype: str = "float64"     # "float32" halves memory traffic (docs/performance.md)
+    dtype: str = MODEL_DTYPE   # "float64" is the opt-in (docs/performance.md)
     verbose: bool = False
     # -- training objective (docs/objectives.md) ---------------------------
     objective: str = "ce"      # "ce" | "ssl" | "infonce" | "op-aux"
@@ -156,9 +157,12 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def fit(self, dataset: PreparedDataset) -> "Trainer":
+        """Train under ``config.dtype``, so every mask and intermediate of
+        the in-process step shares the dtype forked workers train in."""
         if self.config.resume_from:
             return self.resume(dataset, self.config.resume_from)
-        return self._run(dataset, state=None)
+        with default_dtype(self.config.dtype):
+            return self._run(dataset, state=None)
 
     def resume(self, dataset: PreparedDataset, path: str | pathlib.Path) -> "Trainer":
         """Continue an interrupted :meth:`fit` from a training-state file.
@@ -170,7 +174,8 @@ class Trainer:
         state = load_training_state(path)
         self._validate_resume_spec(state.spec, path)
         self._validate_resume_config(state.config, path)
-        return self._run(dataset, state=state)
+        with default_dtype(self.config.dtype):
+            return self._run(dataset, state=state)
 
     def _validate_resume_spec(self, saved_spec: dict | None, path) -> None:
         """Architecture compatibility: spec recorded at save vs. ours now."""
@@ -523,15 +528,20 @@ class NeuralRecommender(Recommender):
             raise RuntimeError(f"{self.name} has not been fitted")
         return self.trainer.model
 
-    def build_model(self) -> Module:
-        """Construct the (untrained) module for this spec via the registry.
+    def weights_spec(self):
+        """``spec`` with the dtype the weights train, save and serve in.
 
-        Respects the ambient default dtype; callers that care wrap this in
-        ``default_dtype(...)`` exactly like :meth:`fit` does.
+        That is ``train_config.dtype``: a runtime config may override the
+        spec's, and the saved header must name the dtype of its arrays.
         """
+        return dataclasses.replace(self.spec, dtype=self.train_config.dtype)
+
+    def build_model(self) -> Module:
+        """Construct the (untrained) module for this spec via the registry,
+        its parameters in ``train_config.dtype``."""
         from ..registry import build_module
 
-        return build_module(self.spec)
+        return build_module(self.weights_spec())
 
     def _check_dims(self, dataset: PreparedDataset) -> None:
         if (dataset.num_items, dataset.num_operations) != (self.spec.num_items, self.spec.num_ops):
@@ -555,13 +565,11 @@ class NeuralRecommender(Recommender):
         }
 
     def fit(self, dataset: PreparedDataset) -> "NeuralRecommender":
-        # Build AND train under the configured dtype so parameters and every
-        # intermediate share it (mixing dtypes silently upcasts to float64).
+        # Both build and train run under train_config.dtype, so parameters
+        # and every intermediate share it.
         self._check_dims(dataset)
-        with default_dtype(self.train_config.dtype):
-            model = self.build_model()
-            self.trainer = Trainer(model, self.train_config, spec=self.spec.to_dict())
-            self.trainer.fit(dataset)
+        self.trainer = Trainer(self.build_model(), self.train_config, spec=self.spec.to_dict())
+        self.trainer.fit(dataset)
         self._stash_dataset_info(dataset)
         return self
 
@@ -596,7 +604,7 @@ class NeuralRecommender(Recommender):
         }
         save_artifact(
             path,
-            spec=self.spec,
+            spec=self.weights_spec(),
             weights=model.state_dict(),
             item_ids=self._dataset_info["item_ids"],
             metadata=metadata,
@@ -617,9 +625,7 @@ class NeuralRecommender(Recommender):
         if bundle is None:
             from ..nn import load_checkpoint
 
-            with default_dtype(self.train_config.dtype):
-                model = self.build_model()
-                load_checkpoint(model, path)
+            model = load_checkpoint(self.build_model(), path)
         else:
             mismatched = self.spec.architecture_mismatch(bundle.spec)
             if mismatched:
@@ -628,9 +634,8 @@ class NeuralRecommender(Recommender):
                     for name, (ours, theirs) in sorted(mismatched.items())
                 )
                 raise ValueError(f"artifact {path} does not match this spec ({detail})")
-            with default_dtype(self.train_config.dtype):
-                model = self.build_model()
-                model.load_state_dict(bundle.weights)
+            model = self.build_model()
+            model.load_state_dict(bundle.weights)
         self.trainer = Trainer(model, self.train_config, spec=self.spec.to_dict())
         self._stash_dataset_info(dataset)
         return self

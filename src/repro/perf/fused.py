@@ -214,13 +214,12 @@ def _scatter_add_rows(buf: np.ndarray, indices: np.ndarray, g: np.ndarray) -> No
     """``buf[indices] += g`` over rows, via one flattened ``bincount``.
 
     ``np.add.at`` takes the slow buffered-ufunc path; a single bincount
-    over ``index * d + col`` keys is an order of magnitude faster. Both
-    scan contributions in occurrence order, so the accumulation is
-    deterministic; bincount sums in float64, hence the dtype gate.
+    over ``index * d + col`` keys is an order of magnitude faster. It
+    scans contributions in occurrence order, so the accumulation is
+    deterministic. bincount sums in float64: a float64 ``buf`` gets the
+    bytes of ``np.add.at``, and a float32 one gets each row sum rounded
+    once, as :func:`_scatter_relations` rounds its buckets.
     """
-    if buf.dtype != np.float64:
-        np.add.at(buf, indices, g)
-        return
     rows, d = buf.shape
     flat_keys = (indices.reshape(-1)[:, None] * d + np.arange(d)).ravel()
     sums = np.bincount(flat_keys, weights=g.reshape(-1), minlength=rows * d)

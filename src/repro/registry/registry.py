@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional
 
+from ..autograd import MODEL_DTYPE, default_dtype
 from .spec import ModelSpec
 
 __all__ = [
@@ -143,7 +144,7 @@ class ModelRegistry:
         dropout: float = 0.1,
         seed: int = 0,
         w_k: float = 12.0,
-        dtype: str = "float64",
+        dtype: str = MODEL_DTYPE,
         train: Mapping[str, Any] | None = None,
         **extra_params: Any,
     ) -> ModelSpec:
@@ -187,7 +188,8 @@ class ModelRegistry:
         raise KeyError(f"spec names unregistered family: {spec.family!r}")
 
     def build_module(self, spec: ModelSpec):
-        """Construct the bare :class:`~repro.nn.Module` for a neural spec."""
+        """Construct the bare :class:`~repro.nn.Module` for a neural spec,
+        its parameters in ``spec.dtype``."""
         builder = self._module_builders.get(spec.family)
         if builder is None:
             if spec.family in self._recommender_builders:
@@ -196,7 +198,8 @@ class ModelRegistry:
                     "neural module — build the recommender with registry.build()"
                 )
             raise KeyError(f"spec names unregistered family: {spec.family!r}")
-        return builder(spec)
+        with default_dtype(spec.dtype):
+            return builder(spec)
 
 
 # The process-wide registry every construction site resolves against.

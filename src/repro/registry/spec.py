@@ -17,6 +17,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
+from ..autograd import MODEL_DTYPE
+
 __all__ = ["ModelSpec"]
 
 # Spec fields that define *architecture identity*: two specs agreeing on
@@ -56,7 +58,7 @@ class ModelSpec:
     num_ops: int
     params: dict[str, Any] = field(default_factory=dict)
     train: dict[str, Any] = field(default_factory=dict)
-    dtype: str = "float64"
+    dtype: str = MODEL_DTYPE
 
     def __post_init__(self):
         if self.num_items <= 0:
@@ -111,7 +113,7 @@ class ModelSpec:
 
         known = {f.name for f in dataclasses.fields(TrainConfig)}
         kwargs = {k: v for k, v in self.train.items() if k in known}
-        kwargs.setdefault("dtype", self.dtype)
+        kwargs["dtype"] = self.dtype  # the dtype the weights are stored in
         kwargs.update(overrides)
         return TrainConfig(**kwargs)
 

@@ -32,14 +32,15 @@ def sample_queries(
     """Seeded serving-like query vectors: perturbed catalogue rows.
 
     Each query is a catalogue vector plus Gaussian noise scaled to
-    ``noise`` times the catalogue's mean row norm.
+    ``noise`` times the catalogue's mean row norm, in the catalogue's
+    dtype (float32 for a float32 model's index).
     """
     rng = np.random.default_rng(seed)
     n = vectors.shape[0]
     rows = rng.choice(n, size=min(n_queries, n), replace=n_queries > n)
     scale = noise * float(np.sqrt((vectors * vectors).sum(axis=1)).mean())
     queries = vectors[rows] + scale * rng.standard_normal((len(rows), vectors.shape[1]))
-    return np.ascontiguousarray(queries, dtype=np.float64)
+    return np.ascontiguousarray(queries, dtype=np.promote_types(vectors.dtype, np.float32))
 
 
 def measure_recall(

@@ -50,11 +50,12 @@ class ScoringFactorization:
         Real catalogue size — BERT4Rec's table carries an extra [MASK]
         row beyond it.
     dtype:
-        Ambient dtype queries are computed under (the model's training
-        dtype; a float32 model must not silently upcast at serve time).
+        Ambient dtype queries are computed under: the model's parameter
+        dtype, so a float32 model never upcasts at serve time and a
+        float64 one never mixes precisions.
     """
 
-    def __init__(self, model, head: str, w_k: float, num_items: int, dtype: str = "float64"):
+    def __init__(self, model, head: str, w_k: float, num_items: int, dtype: str):
         self.model = model
         self.head = head
         self.w_k = w_k
@@ -86,15 +87,17 @@ class ScoringFactorization:
         return {"head": self.head, "w_k": self.w_k, "num_items": self.num_items}
 
 
-def factorize(model, num_items: int | None = None, dtype: str = "float64"):
+def factorize(model, num_items: int | None = None, dtype: str | None = None):
     """Build the :class:`ScoringFactorization` for ``model``, or ``None``.
 
     The head is read off the module itself: a ``predictor`` attribute that
     is a :class:`~repro.core.fusion.ScorePredictor` marks the cosine head;
     anything else with the ``encode_sessions`` seam is a bare dot product.
+    ``dtype`` defaults to the dtype of the model's item table.
     """
     if not hasattr(model, "encode_sessions"):
         return None
+    dtype = dtype or str(model.item_embedding.weight.data.dtype)
     if num_items is None:
         num_items = getattr(model, "num_items", None)
         if num_items is None:

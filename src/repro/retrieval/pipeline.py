@@ -117,8 +117,14 @@ class RetrievalPipeline:
         """
         from .index import default_spec
 
-        dtype = getattr(getattr(recommender, "train_config", None), "dtype", "float64")
-        fact = factorize(recommender.model, dtype=dtype)
+        # Queries are encoded in float64 and rounded once to the block dtype
+        # in rank_queries. A float32 encode carries ~1 ulp of noise from
+        # the rows batched with it (a one-row GEMM runs gemv, and padding
+        # regroups the masked sums), which reorders near-tied items between
+        # a micro-batched and a solo request: 6 of 4,000 sessions on the
+        # 50,000-item serve_catalog catalogue, 0 of 4,000 once rounded from
+        # float64. The weights and the blocks stay in the model's dtype.
+        fact = factorize(recommender.model, dtype="float64")
         if fact is None:
             raise ValueError(
                 f"{getattr(recommender, 'name', type(recommender).__name__)} does not "
@@ -177,9 +183,11 @@ class RetrievalPipeline:
         """:meth:`top_k_classes` for already-embedded query vectors.
 
         Each row is ranked on its own, so its answer never depends on which
-        other rows share the call.
+        other rows share the call. Queries are cast to the index's dtype
+        once here, so no probed block is ever upcast.
         """
         index = self.index
+        queries = np.asarray(queries, dtype=index.cell_vectors.dtype)
         nprobe = index.resolve_nprobe(nprobe or self.nprobe)
         results: list[np.ndarray] = []
         probes = candidates = reranked = 0

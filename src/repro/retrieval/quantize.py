@@ -1,15 +1,9 @@
 """Reduced-precision inference scoring (``repro serve --compute ...``).
 
 Serving's hot loop is ``queries @ item_matrix.T`` over the full catalogue.
-The native path inherits the model's training dtype (float64 for the
-paper's configs), which doubles the memory traffic of the one matmul that
-scales with the catalogue. :class:`QuantizedScorer` snapshots the scoring
-factorization's item matrix once and re-scores in reduced precision:
-
-``float32``
-    The item matrix and queries are cast to float32 and scored directly.
-    This is the *exact float32 reference* the quantized modes re-rank
-    against — roughly half the memory bandwidth of the float64 path.
+The native path scores in the model's dtype, float32 by default.
+:class:`QuantizedScorer` snapshots the scoring factorization's item
+matrix once and stores it in fewer bytes:
 
 ``float16``
     The item matrix is *stored* as float16 (half the float32 footprint)
@@ -42,7 +36,7 @@ import numpy as np
 __all__ = ["QuantizedScorer", "COMPUTE_MODES"]
 
 # "native" (no QuantizedScorer, model-dtype scoring) plus the reduced modes.
-COMPUTE_MODES = ("native", "float32", "float16", "int8")
+COMPUTE_MODES = ("native", "float16", "int8")
 
 
 class QuantizedScorer:
@@ -56,24 +50,24 @@ class QuantizedScorer:
         rebuilt if the model's weights change (serving hot-swaps build a
         fresh scorer per adopted artifact).
     compute:
-        ``"float32"``, ``"float16"`` or ``"int8"``.
+        ``"float16"`` or ``"int8"``.
     rerank_top:
-        Candidates per query re-scored exactly in float32 (quantized
-        modes only). Must comfortably exceed the serving cutoff.
+        Candidates per query re-scored exactly in float32. Must
+        comfortably exceed the serving cutoff.
     chunk:
-        Item rows dequantized per matmul block in the quantized modes.
+        Item rows dequantized per matmul block.
     """
 
     def __init__(
         self,
         factorization,
-        compute: str = "float32",
+        compute: str,
         rerank_top: int = 128,
         chunk: int = 8192,
     ) -> None:
-        if compute not in ("float32", "float16", "int8"):
+        if compute not in COMPUTE_MODES[1:]:
             raise ValueError(
-                f"compute must be one of float32/float16/int8, got {compute!r}"
+                f"compute must be one of {'/'.join(COMPUTE_MODES[1:])}, got {compute!r}"
             )
         self.factorization = factorization
         self.compute = compute
@@ -81,16 +75,11 @@ class QuantizedScorer:
         self.num_items, self.dim = table.shape
         self.rerank_top = min(int(rerank_top), self.num_items)
         self._chunk = min(int(chunk), self.num_items)
-        # Exact float32 matrix: the scoring matrix for "float32" and the
-        # re-rank reference for the quantized modes.
+        # Exact float32 matrix: the re-rank reference.
         self._exact32 = np.ascontiguousarray(table, dtype=np.float32)
         self._scale: np.ndarray | None = None
-        if compute == "float32":
-            self._store: np.ndarray = self._exact32
-            self._dequant_buf: np.ndarray | None = None
-        elif compute == "float16":
+        if compute == "float16":
             self._store = table.astype(np.float16)
-            self._dequant_buf = np.empty((self._chunk, self.dim), dtype=np.float32)
         else:  # int8, symmetric per row
             scale = np.abs(table).max(axis=1) / 127.0
             scale[scale == 0.0] = 1.0
@@ -98,7 +87,7 @@ class QuantizedScorer:
             self._store = np.clip(np.rint(table / scale[:, None]), -127, 127).astype(
                 np.int8
             )
-            self._dequant_buf = np.empty((self._chunk, self.dim), dtype=np.float32)
+        self._dequant_buf = np.empty((self._chunk, self.dim), dtype=np.float32)
         # Contiguous matmul destination for one chunk: GEMM into a strided
         # view of the [B, N] output forces slow paths, so chunks land here
         # and are copied out (grown on demand to the live batch size).
@@ -126,8 +115,7 @@ class QuantizedScorer:
         """``[B, num_items]`` float32 scores for ``[B, d]`` query vectors."""
         q = np.ascontiguousarray(queries, dtype=np.float32)
         out = self._approx_scores(q)
-        if self.compute != "float32":
-            self._rerank(q, out)
+        self._rerank(q, out)
         return out
 
     def score_batch(self, batch) -> np.ndarray:
@@ -137,8 +125,8 @@ class QuantizedScorer:
     def top_k(self, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-``k`` item indices and exact-float32 scores, best first.
 
-        The serving hot path is score-then-select; fusing them lets the
-        quantized modes skip the full-matrix selection entirely — the
+        The serving hot path is score-then-select; fusing them skips the
+        full-matrix selection entirely — the
         ``rerank_top`` candidates picked from the approximate scores double
         as the selection pool, so only ``[B, rerank_top]`` exact scores are
         sorted. Tie order matches :func:`~repro.eval.topk.top_k_indices`
@@ -149,7 +137,7 @@ class QuantizedScorer:
 
         q = np.ascontiguousarray(queries, dtype=np.float32)
         k = min(int(k), self.num_items)
-        if self.compute == "float32" or k > self.rerank_top:
+        if k > self.rerank_top:
             out = self.scores(q)
             idx = top_k_indices(out, k)
             return idx, np.take_along_axis(out, idx, axis=1)
@@ -167,19 +155,14 @@ class QuantizedScorer:
     def _approx_scores(self, q: np.ndarray) -> np.ndarray:
         """Chunked ``[B, num_items]`` matmul against the stored matrix."""
         out = np.empty((q.shape[0], self.num_items), dtype=np.float32)
-        if self.compute == "float32":
-            np.matmul(q, self._store.T, out=out)
-            return out
         buf = self._dequant_buf
         if self._out_buf.shape[0] < q.shape[0]:
             self._out_buf = np.empty((q.shape[0], self._chunk), dtype=np.float32)
         for lo in range(0, self.num_items, self._chunk):
             hi = min(lo + self._chunk, self.num_items)
             block = buf[: hi - lo]
-            if self.compute == "float16":
-                np.copyto(block, self._store[lo:hi], casting="unsafe")
-            else:
-                np.copyto(block, self._store[lo:hi], casting="unsafe")
+            np.copyto(block, self._store[lo:hi], casting="unsafe")
+            if self._scale is not None:
                 np.multiply(block, self._scale[lo:hi], out=block)
             chunk_out = self._out_buf[: q.shape[0], : hi - lo]
             np.matmul(q, block.T, out=chunk_out)

@@ -117,7 +117,7 @@ class RecommenderService:
         self.retrieval = None  # optional RetrievalPipeline (ANN candidate path)
         self.event_buffer = event_buffer  # optional EventRingBuffer (online training)
         self.deployment = None  # optional DeploymentManager (hot-swap/canary)
-        self.compute = "native"  # or float32/float16/int8 (QuantizedScorer)
+        self.compute = "native"  # or float16/int8 (QuantizedScorer)
         self._quantized = None  # QuantizedScorer when compute != "native"
 
     @classmethod
@@ -174,11 +174,11 @@ class RecommenderService:
     def enable_compute(self, mode: str, rerank_top: int = 128) -> str:
         """Select the inference precision of the exact scoring path.
 
-        ``"native"`` scores through the recommender at the model's training
-        dtype (the default). ``"float32"``, ``"float16"`` and ``"int8"``
-        snapshot the item matrix into a
-        :class:`~repro.retrieval.quantize.QuantizedScorer`; the quantized
-        modes finish with an exact float32 re-rank of the top candidates
+        ``"native"`` scores through the recommender in the model's dtype
+        (the default; float32 unless the model opted into float64).
+        ``"float16"`` and ``"int8"`` snapshot the item matrix into a
+        :class:`~repro.retrieval.quantize.QuantizedScorer` and finish
+        with an exact float32 re-rank of the top candidates
         (docs/performance.md, "Quantized inference"). Raises ``ValueError``
         when the model lacks the ``encode_sessions`` factorization seam or
         when an ANN retrieval path is active (it owns candidate scoring).
@@ -203,8 +203,7 @@ class RecommenderService:
         from .retrieval.quantize import QuantizedScorer
         from .retrieval.factorize import factorize
 
-        dtype = getattr(getattr(self.recommender, "train_config", None), "dtype", "float64")
-        fact = factorize(self.recommender.model, dtype=dtype)
+        fact = factorize(self.recommender.model)
         if fact is None:
             raise ValueError(
                 f"{getattr(self.recommender, 'name', type(self.recommender).__name__)} "

@@ -24,15 +24,24 @@ GOLDEN = {
     ("NARM", "eager"): "de8b22390d27433b11808a36de9a70bfe7a5f0e99fb1bbb44c0978c7eddc6527",
     ("NARM", "workers2"): "032a8feada6038f98d28caef848faeeb7d545d23e49d7d8a02af81df91300bed",
 }
+# The dtype that ships (``MODEL_DTYPE``), pinned when float32 became the
+# default: same runs as above, with the float32 embedding scatter rounding
+# each row's float64 sum once.
+GOLDEN_FLOAT32 = {
+    ("EMBSR", "eager"): "95a94931e675464bef34da10c6061b71d0a429a9bd3ef458954bd6ad6f2f192f",
+    ("EMBSR", "workers2"): "b77de9b5a9faa7da1fd190d1535cf2254e7bacb522fdd5ef51770c8dc23a6b69",
+    ("NARM", "eager"): "f69678b46c209a9edb8e96e2b8a7590dfd003d2099e81a4e2f77e9994a04ba72",
+    ("NARM", "workers2"): "38c5086f59ccb6363100e9055fe273170e4a1df040f5734d3e5ff2198442fbc1",
+}
 MODES = {
     "eager": {},
     "workers2": {"workers": 2, "grad_shards": 2},
 }
 
 
-def fit(dataset, name, **kw):
+def fit(dataset, name, dtype="float64", **kw):
     config = ExperimentConfig(
-        dim=12, epochs=2, batch_size=32, seed=5, dtype="float64", patience=2, **kw
+        dim=12, epochs=2, batch_size=32, seed=5, dtype=dtype, patience=2, **kw
     )
     runner = ExperimentRunner(dataset, config)
     recommender = runner.build(name)
@@ -70,6 +79,19 @@ class TestGoldenCrossEntropy:
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_narm_matches_pre_refactor_golden(self, dataset, mode):
         assert digest(fit(dataset, "NARM", **MODES[mode])) == GOLDEN[("NARM", mode)]
+
+
+class TestGoldenFloat32:
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_embsr_float32_golden(self, dataset, mode):
+        got = digest(fit(dataset, "EMBSR", dtype="float32", **MODES[mode]))
+        assert got == GOLDEN_FLOAT32[("EMBSR", mode)]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_narm_float32_golden(self, dataset, mode):
+        got = digest(fit(dataset, "NARM", dtype="float32", **MODES[mode]))
+        assert got == GOLDEN_FLOAT32[("NARM", mode)]
 
 
 class TestInfoNCEParity:

@@ -94,3 +94,28 @@ def test_workers_clamped_to_grid(dataset):
     recommender = runner.build("EMBSR")
     recommender.fit(dataset)  # must not raise, must clean up its segments
     assert recommender.trainer.history
+
+
+@pytest.mark.parametrize("epochs", [1, 3])
+def test_bare_trainer_trains_in_its_config_dtype(dataset, epochs):
+    """A ``Trainer`` built by hand around a float32 module (no recommender
+    entering the dtype for it) trains in ``TrainConfig.dtype``: the
+    in-process shard loop and forked workers agree bitwise, loss for loss."""
+    from repro.eval import TrainConfig, Trainer
+    from repro.registry import build_module, spec_for
+
+    spec = spec_for(
+        "SGNN-Self", num_items=dataset.num_items, num_ops=dataset.num_operations, dim=12
+    )
+    runs = []
+    for workers in (1, 2):
+        config = TrainConfig(
+            epochs=epochs, lr=0.01, seed=1, dtype="float32", grad_shards=2, workers=workers
+        )
+        trainer = Trainer(build_module(spec), config).fit(dataset)
+        runs.append((trainer.model.state_dict(), [h.train_loss for h in trainer.history]))
+    (serial, serial_losses), (forked, forked_losses) = runs
+    assert serial_losses == forked_losses
+    for name in sorted(serial):
+        assert serial[name].dtype == np.float32, name
+        assert np.array_equal(serial[name], forked[name]), f"parameter {name} differs"

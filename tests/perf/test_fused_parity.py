@@ -6,7 +6,9 @@ The compositions they replaced live on here as oracles, in the idiom of
 its kernel, not a hoped-for one:
 
 * ``tobytes()``-equal, output and every gradient, float32 and float64:
-  ``addmm`` on 2-D input, ``embedding_lookup`` vs ``W.take``,
+  ``addmm`` on 2-D input, ``embedding_lookup`` vs ``W.take`` (in float32
+  the weight gradient is each row's float64 sum rounded once, so bytes
+  hold on rows with at most two contributions, roundoff elsewhere),
   ``log_softmax_nll`` vs the composed loss (with and without ``total``;
   a batch-mean loss value over a B that is not a power of two is within
   one ulp, its gradient still byte-equal), and ``nn.GRUCell`` vs the
@@ -42,10 +44,12 @@ def _arrays(rng, shapes, dtype, scale=0.5):
 
 
 def _run(fn, arrays, seed=None):
-    """Output and every leaf gradient of ``fn`` on fresh leaves from ``arrays``."""
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = fn(*leaves)
-    out.backward(seed)
+    """Output and every leaf gradient of ``fn`` on fresh leaves from ``arrays``,
+    run in their dtype (an ambient-float64 ``Tensor`` would upcast them)."""
+    with default_dtype(arrays[0].dtype):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*leaves)
+        out.backward(seed)
     return [out.data] + [leaf.grad for leaf in leaves]
 
 
@@ -255,18 +259,52 @@ def test_gru_sequence_gradcheck():
 # ----------------------------------------------------------------------
 # Embedding
 # ----------------------------------------------------------------------
+def assert_rounded_row_sums(grad, oracle, indices, g):
+    """The float32 scatter contract: every row of ``grad`` is its float64
+    sum rounded once. That equals ``W.take``'s float32 ``np.add.at`` in bytes
+    on rows with at most two contributions, and within roundoff elsewhere."""
+    exact = np.zeros(grad.shape, dtype=np.float64)
+    np.add.at(exact, indices, g.astype(np.float64))
+    assert grad.tobytes() == exact.astype(np.float32).tobytes()
+    few = np.bincount(indices.ravel(), minlength=len(grad)) <= 2
+    assert grad[few].tobytes() == oracle[few].tobytes()
+    np.testing.assert_allclose(grad, oracle, **TOL[np.float32])
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", [(1,), (4, 3), (64, 10), (64, 10, 6)])
 def test_embedding_lookup_matches_take(dtype, shape):
-    """Output and the scattered weight gradient byte-equal ``W.take``, with
-    repeated rows (a 40-row table under up to 3,840 lookups)."""
+    """The output byte-equals ``W.take``, with repeated rows (a 40-row table
+    under up to 3,840 lookups). So does the scattered weight gradient in
+    float64; in float32 it is each row's float64 sum rounded once."""
     rng = np.random.default_rng(8)
     weight, seed = _arrays(rng, [(40, 8), (*shape, 8)], dtype)
     indices = rng.integers(0, 40, size=shape)
-    assert_same_bytes(
-        _run(lambda w: perf.embedding_lookup(w, indices), [weight], seed),
-        _run(lambda w: w.take(indices), [weight], seed),
-    )
+    got = _run(lambda w: perf.embedding_lookup(w, indices), [weight], seed)
+    want = _run(lambda w: w.take(indices), [weight], seed)
+    if dtype == np.float64:
+        assert_same_bytes(got, want)
+    else:
+        assert_same_bytes(got[:1], want[:1])
+        assert_rounded_row_sums(got[1], want[1], indices, seed)
+
+
+def test_embedding_lookup_float32_many_repeats():
+    """A 3-row float32 table under 20,000 lookups: a sequential float32
+    ``np.add.at`` drifts from the true row sum, while the scatter stays within
+    half an ulp of it (one rounding of the float64 sum)."""
+    rng = np.random.default_rng(12)
+    weight, seed = _arrays(rng, [(3, 8), (20_000, 8)], np.float32)
+    indices = rng.integers(0, 3, size=20_000)
+    got = _run(lambda w: perf.embedding_lookup(w, indices), [weight], seed)
+    want = _run(lambda w: w.take(indices), [weight], seed)
+    assert_same_bytes(got[:1], want[:1])
+    assert_rounded_row_sums(got[1], want[1], indices, seed)
+    exact = np.zeros((3, 8), dtype=np.float64)
+    np.add.at(exact, indices, seed.astype(np.float64))
+    half_ulp = np.spacing(np.abs(got[1])).astype(np.float64) / 2
+    assert (np.abs(got[1] - exact) <= half_ulp).all()
+    assert (np.abs(want[1] - exact) > half_ulp).any()
 
 
 def test_embedding_lookup_gradcheck_with_repeats():

@@ -103,6 +103,51 @@ class TestBundleContents:
             ModelArtifact(spec, {}, item_ids=[1, 2, 3]).validate()
 
 
+class TestHeaderDtype:
+    """An artifact's header ``spec.dtype`` names the dtype of its arrays."""
+
+    @pytest.mark.parametrize("spec_dtype,train_dtype", [("float64", "float32"), ("float32", "float64")])
+    def test_save_records_the_trained_dtype(self, dataset, tmp_path, spec_dtype, train_dtype):
+        from repro import registry
+        from repro.eval import TrainConfig
+
+        spec = spec_for(
+            "STAMP", num_items=dataset.num_items, num_ops=dataset.num_operations,
+            dim=8, dtype=spec_dtype,
+        )
+        fitted = registry.build(spec, TrainConfig(epochs=1, dtype=train_dtype)).fit(dataset)
+        path = tmp_path / "stamp.npz"
+        fitted.save(path)
+        bundle = load_artifact(path)
+        assert bundle.spec.dtype == train_dtype
+        assert {w.dtype for w in bundle.weights.values()} == {np.dtype(train_dtype)}
+        restored = NeuralRecommender.from_artifact(path)
+        batch = collate(dataset.test[:16])
+        want = fitted.score_batch(batch)
+        assert want.dtype == np.dtype(train_dtype)
+        assert restored.score_batch(batch).tobytes() == want.tobytes()
+
+    def test_save_artifact_casts_weights_to_spec_dtype(self, dataset, tmp_path):
+        from repro.registry import build_module
+
+        float64 = fit_quick(dataset, "STAMP", dtype="float64")
+        spec = spec_for(
+            "STAMP", num_items=dataset.num_items, num_ops=dataset.num_operations,
+            dim=8, dtype="float32",
+        )
+        path = save_artifact(
+            tmp_path / "stamp.npz",
+            spec=spec,
+            weights=float64.model.state_dict(),
+            item_ids=dataset.vocab.ordered_raw_ids(),
+        )
+        bundle = load_artifact(path)
+        assert {w.dtype for w in bundle.weights.values()} == {np.dtype(np.float32)}
+        # build_module follows the spec, whatever the ambient dtype says.
+        assert {p.data.dtype for p in build_module(spec).parameters()} == {np.dtype(np.float32)}
+        assert {p.data.dtype for p in bundle.build_module().parameters()} == {np.dtype(np.float32)}
+
+
 class TestCompatibility:
     def test_legacy_checkpoint_still_loads(self, dataset, tmp_path):
         """Bare-parameter .npz files (the old save format) keep working."""
@@ -113,7 +158,7 @@ class TestCompatibility:
         save_checkpoint(fitted.model, legacy)
         assert try_load_artifact(legacy) is None
 
-        runner = ExperimentRunner(dataset, ExperimentConfig(dim=8, epochs=0, seed=0))
+        runner = ExperimentRunner(dataset, ExperimentConfig(dim=8, epochs=0, seed=0, dtype="float64"))
         restored = runner.build("STAMP").load(dataset, legacy)
         batch = collate(dataset.test[:8])
         np.testing.assert_array_equal(
@@ -125,7 +170,7 @@ class TestCompatibility:
         fitted = fit_quick(dataset, "STAMP")
         path = tmp_path / "stamp.npz"
         fitted.save(path)
-        runner = ExperimentRunner(dataset, ExperimentConfig(dim=8, epochs=0, seed=0))
+        runner = ExperimentRunner(dataset, ExperimentConfig(dim=8, epochs=0, seed=0, dtype="float64"))
         restored = runner.build("STAMP").load(dataset, path)
         batch = collate(dataset.test[:8])
         np.testing.assert_array_equal(

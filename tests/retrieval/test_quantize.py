@@ -1,24 +1,26 @@
 """QuantizedScorer fidelity and the serving --compute plumbing.
 
 The reduced-precision contract (docs/performance.md, "Quantized
-inference"): float32 is the exact reference; float16/int8 are storage
-formats whose scoring ends in an exact float32 re-rank, so recall@20
-against the float32 ranking must be >= 0.999; the fused ``top_k`` must
-agree with select-after-score; and serving must stamp the compute mode
-into its cache scope and requantize on hot-swap.
+inference"): float16/int8 are storage formats whose scoring ends in an
+exact float32 re-rank, so recall@20 against the exact float32 ranking
+(``queries @ items.T``, what native scoring of a float32 model computes)
+must be >= 0.999; the fused ``top_k`` must agree with select-after-score;
+and serving must stamp the compute mode into its cache scope and
+requantize on hot-swap. There is no ``float32`` mode: native scoring is
+float32, and a float64 model still serves natively in float64.
 """
 
 import numpy as np
 import pytest
 
 from repro.retrieval.quantize import COMPUTE_MODES, QuantizedScorer
-from repro.data.dataset import DataLoader
+from repro.data.dataset import DataLoader, collate
 from repro.eval import ExperimentConfig, ExperimentRunner
 from repro.eval.topk import top_k_indices
 from repro.retrieval.factorize import factorize
 from repro.serve import RecommenderService
 
-QUANT = ("float32", "float16", "int8")
+QUANT = ("float16", "int8")
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +39,12 @@ def test_batches(dataset):
     return list(DataLoader(dataset.test, batch_size=64))
 
 
+def _exact32(factorization, batch):
+    """The exact float32 scores the quantized modes re-rank against."""
+    table32 = np.asarray(factorization.item_matrix(), dtype=np.float32)
+    return np.asarray(factorization.query_matrix(batch), dtype=np.float32) @ table32.T
+
+
 def _recall_at_20(approx, exact):
     exact_top = top_k_indices(exact, 20)
     approx_top = top_k_indices(approx, 20)
@@ -52,28 +60,20 @@ class TestScorer:
             QuantizedScorer(factorization, compute="bfloat16")
 
     def test_storage_footprint(self, factorization):
-        f32 = QuantizedScorer(factorization, compute="float32")
+        f32_nbytes = np.asarray(factorization.item_matrix(), dtype=np.float32).nbytes
         f16 = QuantizedScorer(factorization, compute="float16")
         i8 = QuantizedScorer(factorization, compute="int8")
-        assert f16.storage_nbytes() == f32.storage_nbytes() // 2
+        assert f16.storage_nbytes() == f32_nbytes // 2
         # int8 stores one byte per weight plus a float32 scale per row.
-        assert i8.storage_nbytes() == f32.storage_nbytes() // 4 + 4 * i8.num_items
+        assert i8.storage_nbytes() == f32_nbytes // 4 + 4 * i8.num_items
 
-    def test_float32_is_exact(self, factorization, test_batches):
-        scorer = QuantizedScorer(factorization, compute="float32")
-        table32 = np.asarray(factorization.item_matrix(), dtype=np.float32)
-        for batch in test_batches:
-            q = np.asarray(factorization.query_matrix(batch), dtype=np.float32)
-            assert np.array_equal(scorer.score_batch(batch), q @ table32.T)
+    def test_float32_mode_is_gone(self, factorization):
+        with pytest.raises(ValueError, match="float16/int8"):
+            QuantizedScorer(factorization, compute="float32")
 
     @pytest.mark.parametrize("mode", ["float16", "int8"])
     def test_quantized_recall_at_20(self, factorization, test_batches, mode):
-        exact = np.concatenate(
-            [
-                QuantizedScorer(factorization, compute="float32").score_batch(b)
-                for b in test_batches
-            ]
-        )
+        exact = np.concatenate([_exact32(factorization, b) for b in test_batches])
         scorer = QuantizedScorer(factorization, compute=mode)
         approx = np.concatenate([scorer.score_batch(b) for b in test_batches])
         assert _recall_at_20(approx, exact) >= 0.999
@@ -92,9 +92,8 @@ class TestScorer:
         scorer = QuantizedScorer(factorization, compute="int8", rerank_top=10**9)
         assert scorer.rerank_top == scorer.num_items
         # With every item re-ranked, the scores are the exact float32 ones.
-        exact = QuantizedScorer(factorization, compute="float32")
         batch = test_batches[0]
-        assert np.array_equal(scorer.score_batch(batch), exact.score_batch(batch))
+        assert np.array_equal(scorer.score_batch(batch), _exact32(factorization, batch))
 
 
 class TestServing:
@@ -126,6 +125,26 @@ class TestServing:
     def test_unknown_mode_rejected(self, service):
         with pytest.raises(ValueError):
             service.enable_compute("float8")
+
+    def test_float32_mode_rejected_naming_the_rest(self, service):
+        with pytest.raises(ValueError, match="'native', 'float16', 'int8'"):
+            service.enable_compute("float32")
+        assert service.compute == "native"
+
+    def test_native_is_float32(self, service, dataset):
+        sid = self._fill(service, dataset, n=1)[0]
+        batch = collate([service.session(sid).to_example(service.max_macro_len)])
+        assert service.recommender.score_batch(batch).dtype == np.float32
+
+    def test_float64_model_serves_natively_in_float64(self, dataset):
+        config = ExperimentConfig(dim=16, epochs=0, seed=0, dtype="float64")
+        recommender = ExperimentRunner(dataset, config).run("EMBSR").recommender
+        service = RecommenderService(recommender, dataset.vocab, num_ops=dataset.num_operations)
+        sid = self._fill(service, dataset, n=1)[0]
+        batch = collate([service.session(sid).to_example(service.max_macro_len)])
+        assert recommender.score_batch(batch).dtype == np.float64
+        assert service.enable_compute("native") == "native"
+        assert service.top_k(sid, k=5)
 
     def test_conflicts_with_ann_retrieval(self, service):
         service.retrieval = object()  # stand-in for an active ANN pipeline

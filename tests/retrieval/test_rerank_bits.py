@@ -18,6 +18,10 @@ from the 4-row block kernel. The catalogues below straddle that rule
 (n mod 4, cells of 1-3 items, an empty cell, exact duplicates), and at full
 probe with n = 0 (mod 4) every scanned score must have the bytes of the
 full-height ``vectors @ q``.
+
+Every test takes the catalogue dtype from the ``dtype`` fixture: float64
+here, float32 (the dtype models serve in) in ``test_rerank_bits_float32.py``,
+which collects these same tests with the fixture overridden.
 """
 
 import numpy as np
@@ -79,7 +83,7 @@ def gathered_rank(index, queries, k, seen_classes=None, nprobe=None):
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-def catalogue(kind, residue, d):
+def catalogue(kind, residue, d, dtype):
     """``(vectors, spec)`` with ``len(vectors) % 4 == residue``."""
     rng = np.random.default_rng([CATALOGUES.index(kind), residue, d])
     if kind == "gaussian":
@@ -90,10 +94,17 @@ def catalogue(kind, residue, d):
         return np.concatenate([base, base, extra]), IndexSpec(cells=16, seed=1)
     if kind == "tiny-cells":
         return np.random.default_rng(TINY_N[residue]).standard_normal((TINY_N[residue], d)), IndexSpec(cells=8)
-    # "empty-cell": five directions at varied norms leave some of 8 cells empty
+    # "empty-cell": five directions at varied norms leave some of 8 cells empty.
+    # float32 rounding of arbitrary norms splits a direction into near-copies
+    # that fill every cell; distinct power-of-two norms keep its unit vector
+    # exact.
     directions = rng.standard_normal((5, d))
     n = 40 + residue
-    return directions[np.arange(n) % 5] * (1.0 + rng.random((n, 1))), IndexSpec(cells=8)
+    if dtype == np.float64:
+        norms = 1.0 + rng.random((n, 1))
+    else:
+        norms = 2.0 ** (np.arange(n) // 5)[:, None]
+    return directions[np.arange(n) % 5] * norms, IndexSpec(cells=8)
 
 
 def check_catalogue(kind, index):
@@ -117,9 +128,16 @@ def seen_for(vectors, queries, rng):
     return rows
 
 
-def build(name, residue, d, **spec_fields):
-    vectors, spec = catalogue(name, residue, d)
+@pytest.fixture
+def dtype():
+    return np.float64
+
+
+def build(name, residue, d, dtype, **spec_fields):
+    vectors, spec = catalogue(name, residue, d, dtype)
+    vectors = vectors.astype(dtype)
     index = build_index(vectors, IndexSpec(**{**spec.to_dict(), **spec_fields}))
+    assert index.cell_vectors.dtype == dtype
     check_catalogue(name, index)
     queries = sample_queries(vectors, 5, seed=residue + d)
     return vectors, index, queries
@@ -142,8 +160,8 @@ def assert_same_ids(got, want, group, seen):
 @pytest.mark.parametrize("d", [8, 32])
 @pytest.mark.parametrize("residue", [0, 1, 2, 3])
 @pytest.mark.parametrize("kind", CATALOGUES)
-def test_ids_equal_gathered_oracle(kind, residue, d, probe):
-    vectors, index, queries = build(kind, residue, d)
+def test_ids_equal_gathered_oracle(kind, residue, d, probe, dtype):
+    vectors, index, queries = build(kind, residue, d, dtype)
     pipeline = RetrievalPipeline(None, index)
     nprobe = nprobe_for(probe, index)
     seen = seen_for(vectors, queries, np.random.default_rng(d))
@@ -168,8 +186,10 @@ def test_ids_equal_gathered_oracle(kind, residue, d, probe):
 
 @pytest.mark.parametrize("probe", PROBES)
 @pytest.mark.parametrize("residue", [0, 1, 2, 3])
-def test_ivfpq_position_gather_equals_gathered_oracle(residue, probe):
-    vectors, index, queries = build("gaussian", residue, 32, kind="ivfpq", pq_m=4, pq_bits=5, rerank=32)
+def test_ivfpq_position_gather_equals_gathered_oracle(residue, probe, dtype):
+    vectors, index, queries = build(
+        "gaussian", residue, 32, dtype, kind="ivfpq", pq_m=4, pq_bits=5, rerank=32
+    )
     pipeline = RetrievalPipeline(None, index)
     nprobe = nprobe_for(probe, index)
     seen = seen_for(vectors, queries, np.random.default_rng(residue))
@@ -183,8 +203,8 @@ def test_ivfpq_position_gather_equals_gathered_oracle(residue, probe):
 
 @pytest.mark.parametrize("d", [8, 32])
 @pytest.mark.parametrize("kind", CATALOGUES)
-def test_full_probe_scores_have_full_height_bytes(kind, d):
-    vectors, index, queries = build(kind, 0, d)
+def test_full_probe_scores_have_full_height_bytes(kind, d, dtype):
+    vectors, index, queries = build(kind, 0, d, dtype)
     exact = index.vectors
     assert len(exact) % ROW_BLOCK == 0
     for query in queries:
@@ -195,9 +215,9 @@ def test_full_probe_scores_have_full_height_bytes(kind, d):
 
 @pytest.mark.parametrize("B", [1, 2, 5])
 @pytest.mark.parametrize("kind", CATALOGUES)
-def test_row_answer_does_not_depend_on_batch(kind, B):
+def test_row_answer_does_not_depend_on_batch(kind, B, dtype):
     """A row's probe set and scores are its own: no batched centroid product."""
-    vectors, index, queries = build(kind, 1, 32)
+    vectors, index, queries = build(kind, 1, 32, dtype)
     pipeline = RetrievalPipeline(None, index)
     seen = seen_for(vectors, queries, np.random.default_rng(B))[:B]
     for seen_classes in (None, seen):
@@ -210,8 +230,8 @@ def test_row_answer_does_not_depend_on_batch(kind, B):
 
 
 @pytest.mark.parametrize("kind", CATALOGUES)
-def test_cell_major_layout(kind):
-    vectors, index, _ = build(kind, 3, 8)
+def test_cell_major_layout(kind, dtype):
+    vectors, index, _ = build(kind, 3, 8, dtype)
     sizes = index.list_sizes()
     blocks = np.diff(index.cell_starts)
     assert (blocks % ROW_BLOCK == 0).all()

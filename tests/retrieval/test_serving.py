@@ -178,3 +178,36 @@ class TestPipeline:
         assert stats.rows == 3
         assert stats.probes >= 6  # >= nprobe per row
         assert stats.candidates > 0
+
+    def test_float32_model_queries_do_not_depend_on_the_batch(self):
+        """A float32 model's ANN queries are encoded in float64 and rounded
+        once, so a session's query (and hence its answer) is the same whether
+        the micro-batcher scores it alone or next to another session."""
+        import types
+
+        from repro.data.dataset import MacroSession, collate
+
+        spec = ModelSpec(
+            name="EMBSR", family="embsr", num_items=2000, num_ops=5, params={"dim": 32, "seed": 1}
+        )
+        assert spec.dtype == "float32"
+        recommender = types.SimpleNamespace(model=build_module(spec), name="EMBSR")
+        pipe = RetrievalPipeline.for_recommender(recommender, IndexSpec(cells=16, nprobe=16))
+        assert pipe.index.cell_vectors.dtype == np.float32
+        rng = np.random.default_rng(2)
+        sessions = [
+            MacroSession(
+                list(rng.integers(1, 2001, n)), [list(rng.integers(0, 5, 2)) for _ in range(n)], 1
+            )
+            for n in rng.integers(1, 9, 40)
+        ]
+
+        def query32(group):
+            return pipe.factorization.query_matrix(collate(group)).astype(np.float32)
+
+        for first, second in zip(sessions[::2], sessions[1::2]):
+            pair = query32([first, second])
+            assert query32([first])[0].tobytes() == pair[0].tobytes()
+            assert query32([second])[0].tobytes() == pair[1].tobytes()
+            ranked = pipe.top_k_classes(collate([first, second]), 20)
+            assert np.array_equal(pipe.top_k_classes(collate([first]), 20)[0], ranked[0])
