@@ -7,8 +7,8 @@ Two claims of ``docs/data.md`` are measured here:
    (default: one million sessions) from chunked JSONL into a packed
    ``.rpk`` file never materializes the corpus as Python objects. The
    script samples ``VmRSS`` throughout the pack and reports the peak
-   against the on-disk corpus size; the peak stays roughly flat as the
-   corpus grows (two-pass CSR ingest, ``repro.data.packed``).
+   against the on-disk corpus size: the pack holds its output plus the
+   parsed corpus as compact codes (columnar ingest, ``repro.data.ingest``).
 
 2. **Memmap page sharing** — data-parallel workers training from a
    memmap-loaded packed dataset keep the session arrays in *file-backed*
@@ -229,7 +229,7 @@ def main(argv=None) -> int:
             f"peak RSS {gen_rss.peak_kb / 1024:.0f} MB"
         )
 
-        print("packing (two-pass streaming ingest)")
+        print("packing (columnar ingest, one parse)")
         with RssSampler() as pack_rss:
             start = time.perf_counter()
             packed = pack_sessions_jsonl(

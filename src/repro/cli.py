@@ -448,12 +448,8 @@ def _runner(args, epochs: int | None = None) -> ExperimentRunner:
 def _cmd_data(args) -> int:
     import pathlib
 
-    from .data.packed import (
-        load_packed,
-        pack_dataset,
-        pack_sessions_jsonl,
-        read_packed_header,
-    )
+    from .data.ingest import pack_sessions_jsonl
+    from .data.packed import load_packed, pack_dataset, read_packed_header
 
     if args.data_command == "inspect":
         try:

@@ -24,8 +24,9 @@ import pathlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .ingest import read_jsonl_chunks
 from .preprocess import PreparedDataset
-from .schema import Interaction, MacroSession, OperationVocab, Session
+from .schema import DatasetFormatError, Interaction, MacroSession, OperationVocab, Session
 
 __all__ = [
     "DatasetFormatError",
@@ -213,19 +214,17 @@ def save_sessions_jsonl(sessions: Iterable[Session], path: str | pathlib.Path) -
 def iter_sessions_jsonl(path: str | pathlib.Path) -> Iterable[Session]:
     """Stream :func:`save_sessions_jsonl` output one session at a time.
 
-    One JSON line is decoded per step, so downstream consumers (the packed
-    ingest in particular) hold O(1) sessions no matter the file size.
+    Lines are parsed a chunk at a time by the strict reader of the packed
+    ingest (:func:`repro.data.ingest.read_jsonl_chunks`), so a malformed
+    line raises :class:`~repro.data.schema.SessionFormatError` naming the
+    file and line, and memory stays O(chunk) whatever the file size.
     """
-    with pathlib.Path(path).open() as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            yield Session(
-                [Interaction(item, op) for item, op in record["events"]],
-                session_id=record["session_id"],
-            )
+    for chunk in read_jsonl_chunks(path):
+        events = list(map(Interaction, chunk.items.tolist(), chunk.ops.tolist()))
+        start = 0
+        for session_id, count in zip(chunk.session_ids.tolist(), chunk.event_counts.tolist()):
+            yield Session(events[start : start + count], session_id=session_id)
+            start += count
 
 
 def load_sessions_jsonl(path: str | pathlib.Path) -> list[Session]:
@@ -264,10 +263,6 @@ def save_prepared_dataset(dataset: PreparedDataset, path: str | pathlib.Path) ->
         },
     }
     pathlib.Path(path).write_text(json.dumps(payload))
-
-
-class DatasetFormatError(ValueError):
-    """A file given as a prepared dataset is some other kind of file."""
 
 
 _PREPARED_KEYS = ("name", "operations", "item_ids", "splits")

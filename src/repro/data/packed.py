@@ -33,9 +33,11 @@ On top of that layout:
   copy of the Python object graph.
 * :func:`pack_dataset` / :meth:`PackedDataset.to_prepared` convert to and
   from :class:`~repro.data.preprocess.PreparedDataset` losslessly.
-* :func:`pack_sessions_stream` ingests raw sessions (e.g. a JSONL event
-  log) in two streaming passes, holding only O(chunk) Python sessions at a
-  time — the bounded-memory path for packing 10^6-session corpora.
+* :func:`packed_fingerprint` digests the arrays into the same fingerprint
+  :func:`~repro.data.stats.dataset_fingerprint` gives the examples.
+
+Raw sessions (a JSONL file or ``Session`` objects) are packed by the
+columnar core in :mod:`repro.data.ingest`.
 
 See ``docs/data.md`` for the on-disk format and the CLI
 (``repro data pack`` / ``repro data inspect``).
@@ -46,12 +48,12 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataset import CollateBuffers, SessionBatch
-from .schema import MacroSession, OperationVocab, Session
+from .schema import MacroSession, OperationVocab
 
 __all__ = [
     "PackedSplit",
@@ -61,8 +63,6 @@ __all__ = [
     "collate_packed",
     "packed_padded_dims",
     "packed_fingerprint",
-    "pack_sessions_stream",
-    "pack_sessions_jsonl",
 ]
 
 MAGIC = b"RPACKED1"
@@ -176,7 +176,16 @@ class PackedSplit:
             yield self.example(i)
 
     def to_examples(self) -> list[MacroSession]:
-        return [self.example(i) for i in range(len(self))]
+        """Every session as a :class:`MacroSession` (one ``tolist`` per array)."""
+        items, ops = self.macro_items.tolist(), self.op_ids.tolist()
+        bounds, op_bounds = self.session_offsets.tolist(), self.op_offsets.tolist()
+        runs = [ops[a:b] for a, b in zip(op_bounds, op_bounds[1:])]
+        return [
+            MacroSession(items[a:b], runs[a:b], target=target, session_id=session_id)
+            for a, b, target, session_id in zip(
+                bounds, bounds[1:], self.targets.tolist(), self.session_ids.tolist()
+            )
+        ]
 
     @classmethod
     def from_examples(cls, examples: Sequence[MacroSession]) -> "PackedSplit":
@@ -589,192 +598,76 @@ def pack_dataset(dataset) -> PackedDataset:
 def packed_fingerprint(packed: PackedDataset) -> str:
     """:func:`~repro.data.stats.dataset_fingerprint` computed from the arrays.
 
-    Byte-for-byte the same digest the object path produces — examples are
-    materialized one at a time, so memory stays O(1) in the corpus size.
+    Byte-for-byte the same digest the object path produces. Examples are
+    rendered ``_FINGERPRINT_CHUNK`` at a time into the text ``json.dumps``
+    writes, straight from the CSR arrays, so memory stays O(chunk).
     """
     digest = hashlib.sha256()
     digest.update(packed.name.encode())
     digest.update(json.dumps(packed.item_ids.tolist()).encode())
     digest.update(json.dumps(list(packed.operations.names)).encode())
+    # str(i) for the ids a split usually holds; other values fall back to str().
+    table_size = min(max(packed.num_items, len(packed.operations)) + 1, 1 << 16)
+    table = np.array(list(map(str, range(table_size))), dtype=object)
     for split_name, split in sorted(packed.splits().items()):
         digest.update(f"{split_name}:{len(split)}".encode())
-        for i in range(len(split)):
-            ex = split.example(i)
-            digest.update(
-                json.dumps([ex.macro_items, ex.op_sequences, ex.target]).encode()
-            )
+        for lo in range(0, len(split), _FINGERPRINT_CHUNK):
+            hi = min(lo + _FINGERPRINT_CHUNK, len(split))
+            digest.update(_examples_json(split, lo, hi, table).encode())
     return digest.hexdigest()[:16]
 
 
-# ----------------------------------------------------------------------
-# Streaming ingest: raw sessions -> PackedDataset in bounded memory
-# ----------------------------------------------------------------------
-class _ChunkedInt64:
-    """Append-only int64 column that flushes Python ints to array chunks.
+_FINGERPRINT_CHUNK = 1024
 
-    At any moment at most ``chunk`` values live as Python objects; the
-    rest sit in dense int64 chunks. This is what keeps the streaming
-    ingest's Python-heap footprint O(chunk) regardless of corpus size.
+
+def _as_text(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``str`` of every value, as an object array: a gather from ``table``."""
+    inside = (values >= 0) & (values < table.size)
+    text = table[np.where(inside, values, 0)]
+    if not inside.all():
+        outside = np.flatnonzero(~inside)
+        text[outside] = list(map(str, values[outside].tolist()))
+    return text
+
+
+def _examples_json(split: PackedSplit, lo: int, hi: int, table: np.ndarray) -> str:
+    """``"".join(json.dumps([items, ops, target]) for examples lo..hi-1)``.
+
+    Example ``[[1, 2], [[0, 4], [3]], 7]`` is the token run ``[[`` 1 ``, ``
+    2 ``], [`` ``[`` 0 ``, `` 4 ``]`` ``, `` ``[`` 3 ``]`` ``], `` 7 ``]``: every
+    token's position follows from the CSR lengths, and every slot no
+    bracket or number claims is the separator ``", "``.
     """
+    bounds = split.session_offsets[lo : hi + 1]
+    op_bounds = split.op_offsets[bounds[0] : bounds[-1] + 1]
+    n = np.diff(bounds)  # macro steps per example
+    k = np.diff(op_bounds)  # ops per macro step
+    first_step = bounds[:-1] - bounds[0]
+    example_of = np.repeat(np.arange(n.size), n)
+    items_len = np.maximum(2 * n - 1, 0)
+    group_len = 2 + np.maximum(2 * k - 1, 0)  # "[" ops "]"
+    group_at = np.zeros(k.size + 1, dtype=np.int64)
+    np.cumsum(group_len + 1, out=group_at[1:])  # groups joined by ", "
+    groups_len = group_at[first_step + n] - group_at[first_step] - (n > 0)
+    start = np.zeros(n.size, dtype=np.int64)
+    np.cumsum((5 + items_len + groups_len)[:-1], out=start[1:])
+    total = int(start[-1] + 5 + items_len[-1] + groups_len[-1]) if n.size else 0
 
-    def __init__(self, chunk: int = 1 << 18) -> None:
-        self._chunk = chunk
-        self._pending: list[int] = []
-        self._chunks: list[np.ndarray] = []
-        self._count = 0
-
-    def append(self, value: int) -> None:
-        self._pending.append(value)
-        self._count += 1
-        if len(self._pending) >= self._chunk:
-            self._flush()
-
-    def extend(self, values: Iterable[int]) -> None:
-        self._pending.extend(values)
-        self._count = sum(c.size for c in self._chunks) + len(self._pending)
-        if len(self._pending) >= self._chunk:
-            self._flush()
-
-    def _flush(self) -> None:
-        if self._pending:
-            self._chunks.append(np.asarray(self._pending, dtype=np.int64))
-            self._pending = []
-
-    def __len__(self) -> int:
-        return self._count
-
-    def array(self) -> np.ndarray:
-        self._flush()
-        if not self._chunks:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(self._chunks) if len(self._chunks) > 1 else self._chunks[0]
-
-
-def _offsets_from_counts(counts: np.ndarray) -> np.ndarray:
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def pack_sessions_stream(
-    make_sessions: Callable[[], Iterable[Session]],
-    operations: OperationVocab,
-    name: str = "dataset",
-    min_support: int = 5,
-    max_macro_len: int = 20,
-    split: tuple[float, float, float] = (0.7, 0.1, 0.2),
-    seed: int = 0,
-    fingerprint: bool = True,
-) -> PackedDataset:
-    """Two-pass streaming equivalent of ``prepare_dataset`` + ``pack_dataset``.
-
-    ``make_sessions`` is called twice and must return a fresh iterator each
-    time (pass 1 counts item support; pass 2 converts). Sessions are
-    processed one at a time: merge-successive, vocab encoding, target
-    extraction, and the train/val/test permutation all match
-    :func:`repro.data.preprocess.prepare_dataset` exactly, so the result is
-    array-identical to the eager object path under the same seed.
-    """
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {split}")
-
-    # Pass 1: global item support (the only global statistic the pipeline
-    # needs). The Counter is bounded by the catalogue, not the corpus.
-    from collections import Counter
-
-    counts: Counter[int] = Counter()
-    for session in make_sessions():
-        counts.update(x.item for x in session.interactions)
-    keep = {item for item, c in counts.items() if c >= min_support}
-    raw_ids = sorted(keep)
-    encode = {raw: i + 1 for i, raw in enumerate(raw_ids)}
-
-    # Pass 2: convert surviving sessions in file order into one flat CSR
-    # pool, remembering which filtered sessions yielded a usable example.
-    macro_col = _ChunkedInt64()
-    op_count_col = _ChunkedInt64()
-    op_col = _ChunkedInt64()
-    n_col = _ChunkedInt64()  # macro steps per example
-    target_col = _ChunkedInt64()
-    sid_col = _ChunkedInt64()
-    example_of_filtered = _ChunkedInt64()
-    n_examples = 0
-    for session in make_sessions():
-        kept = [(x.item, x.operation) for x in session.interactions if x.item in keep]
-        if not kept:
-            continue  # not part of the filtered corpus at all
-        # merge_successive + _to_example, object-free.
-        macro_items: list[int] = []
-        op_seqs: list[list[int]] = []
-        for item, op in kept:
-            if macro_items and macro_items[-1] == item:
-                op_seqs[-1].append(op)
-            else:
-                macro_items.append(item)
-                op_seqs.append([op])
-        if len(macro_items) < 2:
-            example_of_filtered.append(-1)  # filtered, but yields no example
-            continue
-        example_of_filtered.append(n_examples)
-        n_examples += 1
-        inputs = [encode[v] for v in macro_items[:-1]][-max_macro_len:]
-        ops = op_seqs[:-1][-max_macro_len:]
-        n_col.append(len(inputs))
-        macro_col.extend(inputs)
-        for seq in ops:
-            op_count_col.append(len(seq))
-            op_col.extend(seq)
-        target_col.append(encode[macro_items[-1]])
-        sid_col.append(session.session_id)
-
-    pool = PackedSplit(
-        _offsets_from_counts(n_col.array()),
-        macro_col.array(),
-        _offsets_from_counts(op_count_col.array()),
-        op_col.array(),
-        target_col.array(),
-        sid_col.array(),
+    tokens = np.empty(total, dtype=object)
+    tokens.fill(", ")
+    tokens[start] = "[["
+    step = np.arange(k.size) - first_step[example_of]
+    tokens[start[example_of] + 1 + 2 * step] = _as_text(split.macro_items[bounds[0] : bounds[-1]], table)
+    tokens[start + 1 + items_len] = "], ["
+    group_start = (start + 2 + items_len - group_at[first_step])[example_of] + group_at[:-1]
+    tokens[group_start] = "["
+    op_step = np.arange(int(k.sum())) - np.repeat(op_bounds[:-1] - op_bounds[0], k)
+    tokens[np.repeat(group_start + 1, k) + 2 * op_step] = _as_text(
+        split.op_ids[op_bounds[0] : op_bounds[-1]], table
     )
-    example_of = example_of_filtered.array()
-
-    # The split permutation is over *filtered sessions* (exactly like
-    # prepare_dataset); examples dropped for macro length < 2 consume a
-    # permutation slot but emit nothing.
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(example_of.size)
-    n_train = int(example_of.size * split[0])
-    n_val = int(example_of.size * split[1])
-    slices = {
-        "train": order[:n_train],
-        "validation": order[n_train : n_train + n_val],
-        "test": order[n_train + n_val :],
-    }
-    splits = {}
-    for split_name, filtered_idx in slices.items():
-        ex_idx = example_of[filtered_idx]
-        splits[split_name] = pool.select(ex_idx[ex_idx >= 0])
-
-    packed = PackedDataset(
-        name=name,
-        train=splits["train"],
-        validation=splits["validation"],
-        test=splits["test"],
-        item_ids=np.asarray(raw_ids, dtype=np.int64),
-        operations=operations,
-        fingerprint="",
-    )
-    if fingerprint:
-        packed.fingerprint = packed_fingerprint(packed)
-    return packed
-
-
-def pack_sessions_jsonl(
-    path: str | pathlib.Path,
-    operations: OperationVocab,
-    **kwargs,
-) -> PackedDataset:
-    """Stream a sessions JSONL file (``save_sessions_jsonl`` output) into a
-    packed dataset without ever holding the corpus as Python objects."""
-    from .io import iter_sessions_jsonl
-
-    return pack_sessions_stream(lambda: iter_sessions_jsonl(path), operations, **kwargs)
+    tokens[group_start + group_len - 1] = "]"
+    tail = start + 2 + items_len + groups_len
+    tokens[tail] = "], "
+    tokens[tail + 1] = _as_text(split.targets[lo:hi], table)
+    tokens[tail + 2] = "]"
+    return "".join(tokens.tolist())

@@ -15,12 +15,9 @@ by one in the batching layer (see ``repro.data.dataset``).
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .schema import Interaction, MacroSession, OperationVocab, Session, merge_successive
+from .schema import MacroSession, OperationVocab, Session
 
 __all__ = [
     "ItemVocab",
@@ -102,31 +99,6 @@ class PreparedDataset:
         return {"train": self.train, "validation": self.validation, "test": self.test}
 
 
-def _filter_items(sessions: list[Session], min_support: int) -> list[Session]:
-    counts: Counter[int] = Counter()
-    for session in sessions:
-        counts.update(x.item for x in session.interactions)
-    keep = {item for item, n in counts.items() if n >= min_support}
-    filtered = []
-    for session in sessions:
-        kept = [x for x in session.interactions if x.item in keep]
-        if kept:
-            filtered.append(Session(kept, session_id=session.session_id))
-    return filtered
-
-
-def _to_example(session: Session, vocab: ItemVocab, max_macro_len: int) -> MacroSession | None:
-    """Merge, remap ids, split off the last macro item as the target."""
-    macro = merge_successive(session)
-    if len(macro) < 2:
-        return None
-    items = [vocab.encode(v) for v in macro.macro_items]
-    target = items[-1]
-    inputs = items[:-1][-max_macro_len:]
-    ops = macro.op_sequences[:-1][-max_macro_len:]
-    return MacroSession(inputs, [list(o) for o in ops], target=target, session_id=session.session_id)
-
-
 def prepare_dataset(
     sessions: list[Session],
     operations: OperationVocab,
@@ -136,39 +108,27 @@ def prepare_dataset(
     split: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
 ) -> PreparedDataset:
-    """Run the full preprocessing pipeline over raw sessions."""
-    if abs(sum(split) - 1.0) > 1e-9:
-        raise ValueError(f"split fractions must sum to 1, got {split}")
-    filtered = _filter_items(sessions, min_support)
+    """Run the full preprocessing pipeline over raw sessions.
 
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(filtered))
-    n_train = int(len(filtered) * split[0])
-    n_val = int(len(filtered) * split[1])
-    groups = {
-        "train": [filtered[i] for i in order[:n_train]],
-        "validation": [filtered[i] for i in order[n_train : n_train + n_val]],
-        "test": [filtered[i] for i in order[n_train + n_val :]],
-    }
+    The sessions go through the columnar core
+    (:func:`repro.data.ingest.pack_chunks`), the same code that packs a
+    JSONL file, and come back as examples. The vocabulary covers the
+    whole filtered corpus, so every item has an embedding row (test-only
+    items would otherwise be unscoreable; the paper's setup has the same
+    closed item set V).
+    """
+    from .ingest import pack_chunks, session_chunks
 
-    # Vocabulary is built from the entire filtered corpus so that every item
-    # has an embedding row (test-only items would otherwise be unscoreable;
-    # the paper's setup has the same closed item set V).
-    vocab = ItemVocab([x.item for s in filtered for x in s.interactions])
-
-    examples: dict[str, list[MacroSession]] = {}
-    for split_name, split_sessions in groups.items():
-        converted = (_to_example(s, vocab, max_macro_len) for s in split_sessions)
-        examples[split_name] = [m for m in converted if m is not None]
-
-    return PreparedDataset(
+    return pack_chunks(
+        session_chunks(sessions),
+        operations,
         name=name,
-        train=examples["train"],
-        validation=examples["validation"],
-        test=examples["test"],
-        vocab=vocab,
-        operations=operations,
-    )
+        min_support=min_support,
+        max_macro_len=max_macro_len,
+        split=split,
+        seed=seed,
+        fingerprint=False,
+    ).to_prepared()
 
 
 def augment_prefixes(examples: list[MacroSession]) -> list[MacroSession]:

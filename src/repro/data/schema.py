@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 __all__ = [
+    "DatasetFormatError",
+    "SessionFormatError",
     "Interaction",
     "Session",
     "MacroSession",
@@ -21,6 +23,26 @@ __all__ = [
     "TRIVAGO_OPERATIONS",
     "merge_successive",
 ]
+
+
+class DatasetFormatError(ValueError):
+    """Input that is not the kind of data the reader expects."""
+
+
+class SessionFormatError(DatasetFormatError):
+    """A malformed session record.
+
+    ``path`` and ``line`` (1-based) locate it in a file; with ``path``
+    ``None``, ``line`` is the session's 1-based position in its sequence.
+    """
+
+    def __init__(self, problem: str, path: str | None = None, line: int | None = None):
+        self.problem, self.path, self.line = problem, path, line
+        if path is not None:
+            problem = f"{path}, line {line}: {problem}"
+        elif line is not None:
+            problem = f"session {line}: {problem}"
+        super().__init__(problem)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,20 @@
-"""Streaming JSONL/CSV → packed ingest: equality with the eager path.
+"""JSONL/CSV → packed ingest: equality with the eager path, bounded memory.
 
-``pack_sessions_stream`` must reproduce ``prepare_dataset`` +
-``pack_dataset`` array-for-array under the same seed — same item-support
-filter, same vocabulary, same split permutation, same example drops — while
-only ever holding O(chunk) sessions as Python objects.
+``pack_sessions_jsonl`` and ``pack_sessions_stream`` must reproduce
+``prepare_dataset`` + ``pack_dataset`` array-for-array under the same seed —
+same item-support filter, same vocabulary, same split permutation, same
+example drops — while Python objects live only for the chunk being parsed.
 """
+
+import gc
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.data import (
+    JD_OPERATIONS,
     generate_dataset,
     iter_event_log,
     iter_sessions_jsonl,
@@ -22,7 +27,6 @@ from repro.data import (
     save_sessions_jsonl,
     trivago_config,
 )
-from repro.data.packed import _ChunkedInt64
 
 CSR_FIELDS = ("session_offsets", "macro_items", "op_offsets", "op_ids", "targets", "session_ids")
 
@@ -133,20 +137,78 @@ def test_iter_event_log_requires_vocab(tmp_path):
         list(iter_event_log(path))
 
 
-def test_chunked_column_bounds_python_heap():
-    """The ingest's append column flushes to dense chunks at the threshold."""
-    col = _ChunkedInt64(chunk=16)
-    for i in range(100):
-        col.append(i)
-    assert len(col._pending) < 16  # everything else sits in dense chunks
-    assert np.array_equal(col.array(), np.arange(100))
-    col2 = _ChunkedInt64(chunk=8)
-    col2.extend(range(20))
-    col2.extend(range(20, 23))
-    assert np.array_equal(col2.array(), np.arange(23))
-    assert len(col2) == 23
-    empty = _ChunkedInt64()
-    assert empty.array().size == 0
+def _write_corpus(path, sessions):
+    """A Zipf-item corpus in the JSONL format, written straight from arrays."""
+    rng = np.random.default_rng(4)
+    lengths = np.clip(rng.geometric(1 / 8, sessions), 1, 40)
+    weights = 1.0 / np.arange(1, 601)
+    items = rng.choice(600, size=int(lengths.sum()), p=weights / weights.sum()) + 10_000
+    ops = rng.integers(0, len(JD_OPERATIONS), items.size)
+    events = np.stack([items, ops], axis=1).tolist()
+    bounds = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    with path.open("w") as handle:
+        for sid in range(sessions):
+            record = {"session_id": sid, "events": events[bounds[sid] : bounds[sid + 1]]}
+            handle.write(json.dumps(record) + "\n")
+
+
+def _traced_pack(path):
+    """``(peak traced bytes, packed)`` of one pack under ``tracemalloc``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        packed = pack_sessions_jsonl(path, JD_OPERATIONS, min_support=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base, packed
+
+
+def test_pack_working_memory_does_not_grow_with_the_corpus(tmp_path):
+    """Traced peak minus the output's bytes, at 5,000 and 20,000 sessions.
+
+    Beyond its output a pack holds one chunk's JSON objects, the
+    fingerprint's chunk of tokens and the parsed corpus as compact codes
+    (a few bytes per event). From 5,000 to 20,000 sessions that working
+    set may grow by at most half of what the output grows by: a reader
+    that kept ``Session`` objects (~10x the output) or a pool copied into
+    the splits (1x) fails this."""
+    overhead, nbytes = {}, {}
+    for sessions in (5_000, 20_000):
+        path = tmp_path / f"s{sessions}.jsonl"
+        _write_corpus(path, sessions)
+        peak, packed = _traced_pack(path)
+        nbytes[sessions] = packed.nbytes()
+        overhead[sessions] = peak - nbytes[sessions]
+        del packed
+    growth = overhead[20_000] - overhead[5_000]
+    assert growth <= 0.5 * (nbytes[20_000] - nbytes[5_000]), (overhead, nbytes)
+    assert overhead[20_000] < nbytes[20_000], (overhead, nbytes)
+
+
+def test_repeated_packs_retain_no_traced_memory(tmp_path):
+    """Once warm-up packs have filled NumPy's bounded small-allocation
+    caches, thirty more packs leave nothing behind; one leaked output or
+    parsed chunk would be tens of KiB per pack. Only blocks allocated under
+    ``repro/data`` count, so another thread's allocations cannot."""
+    path = tmp_path / "s.jsonl"
+    _write_corpus(path, 200)
+    for _ in range(20):
+        pack_sessions_jsonl(path, JD_OPERATIONS, min_support=2)
+    gc.collect()
+    tracemalloc.start(8)  # deep enough to reach a repro/data frame
+    try:
+        for _ in range(30):
+            packed = pack_sessions_jsonl(path, JD_OPERATIONS, min_support=2)
+        del packed
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    ours = snapshot.filter_traces([tracemalloc.Filter(True, "*/repro/data/*", all_frames=True)])
+    retained = sum(stat.size for stat in ours.statistics("filename"))
+    assert retained < 16 * 1024, ours.statistics("traceback")[:3]
 
 
 def test_stream_ingest_drops_short_sessions_like_prepare(tmp_path):
