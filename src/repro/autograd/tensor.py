@@ -32,6 +32,7 @@ finite differences in ``tests/autograd`` (and the fused kernels in
 from __future__ import annotations
 
 import contextlib
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -50,7 +51,12 @@ __all__ = [
     "MODEL_DTYPE",
 ]
 
-_GRAD_ENABLED = True
+# The grad mode, the ambient dtype and the active profiler are per thread
+# (per ``contextvars`` context): a new thread starts at the defaults, and
+# ``no_grad`` / ``default_dtype`` on one thread never leak into another,
+# however their blocks interleave. Each scoped change is set and reset by
+# token.
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("repro_grad_enabled", default=True)
 
 # The dtype models train, save and serve in unless a caller opts into
 # float64 explicitly: the paper's artifact is PyTorch, whose default is
@@ -61,69 +67,69 @@ _GRAD_ENABLED = True
 # and the bare-Tensor tests need it, and every model path enters
 # ``default_dtype(<its dtype>)``.
 MODEL_DTYPE = "float32"
-_DEFAULT_DTYPE = np.dtype(np.float64)
+_DEFAULT_DTYPE: ContextVar[np.dtype] = ContextVar("repro_default_dtype", default=np.dtype(np.float64))
 
-# Active profiler (repro.perf.profiler.OpProfiler) or None; assigned via
-# _set_profiler so the hot path pays a single global load when disabled.
-_PROFILER = None
-
-
-def _set_profiler(profiler) -> None:
-    global _PROFILER
-    _PROFILER = profiler
+# Active profiler (repro.perf.profiler.OpProfiler) or None; set and reset
+# by OpProfiler.enable / disable.
+_PROFILER: ContextVar = ContextVar("repro_profiler", default=None)
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that disables graph construction (like torch.no_grad)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Context manager that disables graph construction (like torch.no_grad)
+    on the current thread."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
-    """Return whether new operations will be recorded for differentiation."""
-    return _GRAD_ENABLED
+    """Return whether new operations on this thread will be recorded for
+    differentiation."""
+    return _GRAD_ENABLED.get()
 
 
 def get_default_dtype() -> np.dtype:
-    """Ambient element dtype for new tensors (float64 unless reconfigured;
-    models enter their own dtype, :data:`MODEL_DTYPE` by default)."""
-    return _DEFAULT_DTYPE
+    """Ambient element dtype for new tensors on this thread (float64 unless
+    reconfigured; models enter their own dtype, :data:`MODEL_DTYPE` by
+    default)."""
+    return _DEFAULT_DTYPE.get()
+
+
+def _float_dtype(dtype) -> np.dtype:
+    new = np.dtype(dtype)
+    if new not in (np.dtype(np.float32), np.dtype(np.float64)):
+        raise ValueError(f"default dtype must be float32 or float64, got {new}")
+    return new
 
 
 def set_default_dtype(dtype) -> np.dtype:
-    """Set the element dtype for new tensors; returns the previous dtype.
+    """Set the element dtype for new tensors on this thread; returns the
+    previous dtype.
 
     ``float32`` (:data:`MODEL_DTYPE`, what models train and serve in)
     halves memory traffic and roughly doubles large-matmul throughput;
     ``float64`` is required for finite-difference gradchecks.
     """
-    global _DEFAULT_DTYPE
-    new = np.dtype(dtype)
-    if new not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"default dtype must be float32 or float64, got {new}")
-    previous = _DEFAULT_DTYPE
-    _DEFAULT_DTYPE = new
+    previous = _DEFAULT_DTYPE.get()
+    _DEFAULT_DTYPE.set(_float_dtype(dtype))
     return previous
 
 
 @contextlib.contextmanager
 def default_dtype(dtype):
     """Scoped :func:`set_default_dtype` (restores the previous dtype on exit)."""
-    previous = set_default_dtype(dtype)
+    token = _DEFAULT_DTYPE.set(_float_dtype(dtype))
     try:
         yield
     finally:
-        set_default_dtype(previous)
+        _DEFAULT_DTYPE.reset(token)
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
-    dtype = dtype or _DEFAULT_DTYPE
+    dtype = dtype or _DEFAULT_DTYPE.get()
     if isinstance(value, np.ndarray):
         if value.dtype != dtype:
             return value.astype(dtype)
@@ -189,7 +195,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data: np.ndarray = _as_array(data)
         self.grad: np.ndarray | None = None
-        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad: bool = bool(requires_grad) and _GRAD_ENABLED.get()
         self._backward: Callable[[], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
         # True once self.grad is a buffer only this tensor references, so
@@ -260,8 +266,9 @@ class Tensor:
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
-        if _PROFILER is not None:
-            _PROFILER._record_node(backward)
+        profiler = _PROFILER.get()
+        if profiler is not None:
+            profiler._record_node(backward)
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
@@ -333,7 +340,7 @@ class Tensor:
             self.grad = self.grad + grad
             self._grad_owned = True
 
-        profiler = _PROFILER
+        profiler = _PROFILER.get()
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 if profiler is not None:
@@ -359,7 +366,7 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data + other.data
-        if not (_GRAD_ENABLED and (self.requires_grad or other.requires_grad)):
+        if not (_GRAD_ENABLED.get() and (self.requires_grad or other.requires_grad)):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -374,7 +381,7 @@ class Tensor:
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(-self.data)
 
         def backward() -> None:
@@ -386,7 +393,7 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data - other.data
-        if not (_GRAD_ENABLED and (self.requires_grad or other.requires_grad)):
+        if not (_GRAD_ENABLED.get() and (self.requires_grad or other.requires_grad)):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -404,7 +411,7 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data * other.data
-        if not (_GRAD_ENABLED and (self.requires_grad or other.requires_grad)):
+        if not (_GRAD_ENABLED.get() and (self.requires_grad or other.requires_grad)):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -421,7 +428,7 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = self.data / other.data
-        if not (_GRAD_ENABLED and (self.requires_grad or other.requires_grad)):
+        if not (_GRAD_ENABLED.get() and (self.requires_grad or other.requires_grad)):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -441,7 +448,7 @@ class Tensor:
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
         out_data = self.data**exponent
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -455,7 +462,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -466,7 +473,7 @@ class Tensor:
 
     def log(self) -> "Tensor":
         out_data = np.log(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -477,7 +484,7 @@ class Tensor:
 
     def sqrt(self) -> "Tensor":
         out_data = np.sqrt(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -488,7 +495,7 @@ class Tensor:
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -499,7 +506,7 @@ class Tensor:
 
     def sigmoid(self) -> "Tensor":
         out_data = _stable_sigmoid(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -511,7 +518,7 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         out_data = self.data * mask
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -522,7 +529,7 @@ class Tensor:
 
     def abs(self) -> "Tensor":
         out_data = np.abs(self.data)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
         sign = np.sign(self.data)
 
@@ -538,7 +545,7 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         out_data = np.matmul(self.data, other.data)
-        if not (_GRAD_ENABLED and (self.requires_grad or other.requires_grad)):
+        if not (_GRAD_ENABLED.get() and (self.requires_grad or other.requires_grad)):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -578,7 +585,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.sum(axis=axis, keepdims=keepdims)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -605,7 +612,7 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -633,7 +640,7 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         out_data = self.data.reshape(shape)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
         original = self.shape
 
@@ -649,7 +656,7 @@ class Tensor:
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
         out_data = self.data.transpose(axes)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
         inverse = np.argsort(axes)
 
@@ -666,7 +673,7 @@ class Tensor:
 
     def unsqueeze(self, axis: int) -> "Tensor":
         out_data = np.expand_dims(self.data, axis)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -677,7 +684,7 @@ class Tensor:
 
     def squeeze(self, axis: int) -> "Tensor":
         out_data = np.squeeze(self.data, axis=axis)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -688,7 +695,7 @@ class Tensor:
 
     def broadcast_to(self, shape: tuple[int, ...]) -> "Tensor":
         out_data = np.broadcast_to(self.data, shape).copy()
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
         original = self.shape
 
@@ -703,7 +710,7 @@ class Tensor:
     # ------------------------------------------------------------------
     def __getitem__(self, index) -> "Tensor":
         out_data = np.array(self.data[index], copy=True)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -718,7 +725,7 @@ class Tensor:
         """Gather along ``axis`` (used for embedding lookups when axis=0)."""
         indices = np.asarray(indices)
         out_data = np.take(self.data, indices, axis=axis)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -746,7 +753,7 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         e = np.exp(shifted)
         out_data = e / e.sum(axis=axis, keepdims=True)
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -767,7 +774,7 @@ class Tensor:
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - lse
-        if not (_GRAD_ENABLED and self.requires_grad):
+        if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
         def backward() -> None:
@@ -786,7 +793,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable concatenation along ``axis``."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    if not (_GRAD_ENABLED and any(t.requires_grad for t in tensors)):
+    if not (_GRAD_ENABLED.get() and any(t.requires_grad for t in tensors)):
         return Tensor(out_data)
     sizes = [t.shape[axis] for t in tensors]
     offsets = np.cumsum([0] + sizes)
@@ -806,7 +813,7 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Differentiable stack along a new ``axis``."""
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     out_data = np.stack([t.data for t in tensors], axis=axis)
-    if not (_GRAD_ENABLED and any(t.requires_grad for t in tensors)):
+    if not (_GRAD_ENABLED.get() and any(t.requires_grad for t in tensors)):
         return Tensor(out_data)
 
     def backward() -> None:
@@ -824,7 +831,7 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     out_data = np.where(condition, a.data, b.data)
-    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)):
+    if not (_GRAD_ENABLED.get() and (a.requires_grad or b.requires_grad)):
         return Tensor(out_data)
 
     def backward() -> None:
@@ -842,7 +849,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     a = a if isinstance(a, Tensor) else Tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(b)
     out_data = np.maximum(a.data, b.data)
-    if not (_GRAD_ENABLED and (a.requires_grad or b.requires_grad)):
+    if not (_GRAD_ENABLED.get() and (a.requires_grad or b.requires_grad)):
         return Tensor(out_data)
     a_wins = a.data > b.data
     tie = a.data == b.data

@@ -17,25 +17,27 @@ writing the six CSR columns of every split directly.
 
 Two feeders produce chunks:
 
-* :func:`read_jsonl_chunks` parses a sessions JSONL file strictly, each
-  line once, and never builds a :class:`~repro.data.schema.Session`. A
-  line it rejects raises :class:`~repro.data.schema.SessionFormatError`
-  naming the file and the 1-based line.
+* :func:`read_jsonl_chunks` parses a sessions JSONL file strictly and
+  never builds a :class:`~repro.data.schema.Session`: a chunk of
+  canonical lines (the ``json.dumps`` form every writer here uses) as
+  bytes, in one vectorised pass, any other chunk line by line. A line it
+  rejects raises :class:`~repro.data.schema.SessionFormatError` naming
+  the file and the 1-based line.
 * :func:`session_chunks` converts ``Session`` objects, which is how
   :func:`~repro.data.preprocess.prepare_dataset` reduces to the core.
 
 Memory: between the support count and the conversion the parsed corpus
 is held once, as compact arrays (per event, an item code of one or two
-bytes and one byte of operation); Python objects live only for the chunk
-being parsed.
+bytes and one byte of operation); a chunk's raw lines and its parse live
+only while that chunk is read.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
-from itertools import chain, islice, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, islice
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -52,13 +54,12 @@ __all__ = [
     "pack_sessions_jsonl",
 ]
 
-# Sessions (or JSONL lines) per chunk. Small enough that a chunk's parsed
-# JSON objects stay in cache and die young; large enough that the NumPy
-# call overhead per chunk is amortised.
-_CHUNK = 256
+# Sessions (or JSONL lines) per chunk. Large enough that the NumPy calls
+# of the tokeniser and the core are amortised over many sessions; a chunk's
+# raw lines (~0.25 MB for a typical file) are its only Python objects.
+_CHUNK = 2048
 
 _JSON_SPACE = b" \t\n\r"  # what json.loads strips around a value
-_SCAN = json.JSONDecoder().scan_once  # json.loads' scanner, minus its wrapper
 _INT64 = np.iinfo(np.int64)
 
 
@@ -88,6 +89,10 @@ def read_jsonl_chunks(path: str | pathlib.Path) -> Iterator[SessionChunk]:
     its own, decoding to one object with an int ``session_id`` and an
     ``events`` list of ``[item, operation]`` int pairs that fit int64.
     Anything else raises :class:`SessionFormatError` with the line.
+
+    A chunk whose every line is canonical (see :func:`_tokenise`) is read
+    as bytes in one vectorised pass; any other chunk is parsed line by
+    line with ``json.loads``, which names the first bad line.
     """
     name = str(path)
     with pathlib.Path(path).open("rb") as handle:
@@ -98,18 +103,13 @@ def read_jsonl_chunks(path: str | pathlib.Path) -> Iterator[SessionChunk]:
 
 
 def _parse_chunk(path: str, first: int, raw: list[bytes]) -> SessionChunk:
-    lines = [line.strip(_JSON_SPACE) for line in raw]
     numbers = np.arange(first, first + len(raw))
-    if not all(lines):  # blank lines are skipped, their numbers kept
-        numbers = numbers[[bool(line) for line in lines]]
-        lines = [line for line in lines if line]
-    try:
-        parsed = _parse_lines_fast(lines)
-    except (ValueError, KeyError, TypeError, OverflowError, RecursionError):
-        parsed = None
+    parsed = _tokenise(b"".join(raw))
     if parsed is None:
-        # Something in the chunk is off the common shape: parse it again
-        # line by line, so the first bad line raises with its number.
+        lines = [line.strip(_JSON_SPACE) for line in raw]
+        if not all(lines):  # blank lines are skipped, their numbers kept
+            numbers = numbers[[bool(line) for line in lines]]
+            lines = [line for line in lines if line]
         rows = [_parse_line(path, n, line) for n, line in zip(numbers.tolist(), lines)]
         parsed = (
             np.array([sid for sid, _ in rows], dtype=np.int64),
@@ -120,36 +120,91 @@ def _parse_chunk(path: str, first: int, raw: list[bytes]) -> SessionChunk:
     return SessionChunk(session_ids, event_counts, flat[0::2], flat[1::2], numbers, path)
 
 
-def _parse_lines_fast(lines: list[bytes]):
-    """All lines of a chunk at once, or ``None`` (or an exception) when any
-    line needs the per-line parser. ``_SCAN`` plus the end check is exactly
-    ``json.loads`` on a stripped line; the type checks run as C-level maps."""
-    text = list(map(bytes.decode, lines))
-    # A line scan_once cannot start raises StopIteration, which ends the map
-    # early: the length check below catches it.
-    results = list(map(_SCAN, text, repeat(0)))
-    if len(results) != len(text) or list(map(itemgetter(1), results)) != list(map(len, text)):
+# The canonical line is ``json.dumps`` of ``{"session_id": int, "events":
+# [[int, int], ...]}`` with the default separators, plus its newline. With
+# its integers deleted, a line of k events is its *skeleton*:
+#   {"session_id": , "events": [[, ], [, ], ...]}   (30 + 6k - 2 bytes)
+#   {"session_id": , "events": []}                 (30 bytes, k = 0)
+# and the integers sit in its *slots*: the session id before byte 15,
+# event e's item before byte 29 + 6e and its operation before 31 + 6e.
+_MAX_DIGITS = 18  # every such integer fits int64, and np.fromstring is exact
+_POW10 = 10 ** np.arange(1, _MAX_DIGITS + 1, dtype=np.int64)
+_SPACE = ord(" ")
+_INT_BYTES = b"0123456789-"
+_INTS_ONLY = bytes(c if c in _INT_BYTES else _SPACE for c in range(256))  # translate table
+
+
+def _skeleton(events: int) -> bytes:
+    return b'{"session_id": , "events": [' + b", ".join([b"[, ]"] * events) + b"]}"
+
+
+def _events_in(length):
+    """k of a skeleton of ``length`` bytes (an int or an array)."""
+    return np.maximum(length - 28, 0) // 6
+
+
+def _tokenise(chunk: bytes):
+    """``(session_ids, event_counts, [item, op, item, op, ...])`` of a
+    chunk of lines, or ``None`` unless every line is canonical.
+
+    Canonical: the line is its skeleton with one JSON integer of at most
+    18 digits (no leading zero, optional minus) in each slot, ending in
+    ``\n``. Such a line is valid JSON and ``json.loads`` reads exactly
+    these values. The check, with no per-line Python parse:
+
+    1. Deleting every digit and ``-`` leaves, line by line, a skeleton.
+       This fixes each line's event count k and so every slot's place.
+    2. ``np.fromstring`` reads the maximal runs of digits and ``-`` as
+       integers, once each run is known to be ``-?[0-9]+``. There must be
+       exactly one per slot, each of at most 18 digits.
+    3. Each value's canonical width (its digits, plus its sign) and the
+       widths before it put it at a byte offset. A run must start there and
+       end after its width. As there are as many runs as slots, this leaves
+       no other layout: every run sits in its own slot, with no leading
+       zero and no ``-0``.
+    """
+    if not chunk.endswith(b"\n"):
         return None
-    records = list(map(itemgetter(0), results))
-    if records and set(map(type, records)) != {dict}:
+    stripped = chunk.translate(None, _INT_BYTES)
+    skeletons = stripped.split(b"\n")[:-1]
+    if any(line != _skeleton(int(_events_in(len(line)))) for line in set(skeletons)):
         return None
-    session_ids = list(map(itemgetter("session_id"), records))
-    events = list(map(itemgetter("events"), records))
-    if records and (set(map(type, session_ids)) != {int} or set(map(type, events)) != {list}):
+    lengths = np.fromiter(map(len, skeletons), dtype=np.int64, count=len(skeletons))
+    events = _events_in(lengths)
+
+    text = chunk.translate(_INTS_ONLY)
+    byte = np.frombuffer(text, dtype=np.uint8)
+    if b"-" in chunk:
+        # A minus must start an integer: a space before it, a digit after.
+        # The chunk ends in a newline, so ``minus + 1`` is in range and
+        # ``minus - 1`` wraps to that newline only for a leading minus.
+        minus = np.flatnonzero(byte == ord("-"))
+        after = byte[minus + 1]
+        if (byte[minus - 1] != _SPACE).any() or ((after == _SPACE) | (after == ord("-"))).any():
+            return None
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    slots = 1 + 2 * events
+    first = _offsets(slots)[:-1]  # each line's session id in ``values``
+    limit = 10**_MAX_DIGITS
+    if values.size != slots.sum() or not ((values > -limit) & (values < limit)).all():
         return None
-    pairs = list(chain.from_iterable(events))
-    # A non-list pair either has no len() (TypeError) or flattens into
-    # non-int values, which the type check on ``flat`` rejects.
-    if pairs and set(map(len, pairs)) != {2}:
-        return None
-    flat = list(chain.from_iterable(pairs))
-    if flat and set(map(type, flat)) != {int}:
-        return None
-    return (
-        np.array(session_ids, dtype=np.int64),  # OverflowError past int64
-        np.fromiter(map(len, events), dtype=np.int64, count=len(events)),
-        np.array(flat, dtype=np.int64),
+    width = 1 + np.searchsorted(_POW10, np.abs(values), side="right") + (values < 0)
+    slot = np.arange(values.size) - np.repeat(first, slots)  # 0 = session id
+    event, is_op = np.divmod(slot - 1, 2)
+    at = (
+        np.repeat(_offsets(lengths + 1)[:-1], slots)  # the line's skeleton
+        + np.where(slot == 0, 15, 29 + 6 * event + 2 * is_op)  # the slot
+        + np.cumsum(width)
+        - width  # integer bytes before it
     )
+    # The widths sum to at most the chunk's integer bytes (or to 1 for the
+    # [0] np.fromstring reads from a chunk with none), and every slot is
+    # three bytes or more before its line's end: ``at + width`` is in range.
+    if (byte[at] == _SPACE).any() or (byte[at - 1] != _SPACE).any() or (byte[at + width] != _SPACE).any():
+        return None
+    pairs = np.ones(values.size, dtype=bool)
+    pairs[first] = False
+    return values[first], events, values[pairs]
 
 
 def _parse_line(path: str, number: int, line: bytes) -> tuple[int, list[int]]:

@@ -98,6 +98,10 @@ class OnlineTrainer:
         self.events_consumed = 0
         self.examples_harvested = 0
         self.snapshots_emitted = 0
+        # Snapshots of the periodic loop that raised: the loop survives them,
+        # so these two are how a stalled online learner shows.
+        self.loop_failures = 0
+        self.last_loop_error: str | None = None
 
     # ------------------------------------------------------------------
     def ingest_events(self) -> int:
@@ -242,7 +246,9 @@ class OnlineTrainer:
 
         ``on_snapshot(path)`` fires for every emitted artifact — the CLI
         wires it to :meth:`~repro.deploy.DeploymentManager.stage` so fresh
-        snapshots canary themselves.
+        snapshots canary themselves. A snapshot that raises is counted in
+        :attr:`loop_failures` (its error in :attr:`last_loop_error`) and the
+        loop carries on.
         """
         stop = threading.Event()
 
@@ -250,7 +256,9 @@ class OnlineTrainer:
             while not stop.wait(interval_s):
                 try:
                     path = self.snapshot()
-                except Exception:  # noqa: BLE001 — the loop must survive bad batches
+                except Exception as error:  # noqa: BLE001 — the loop must survive bad batches
+                    self.loop_failures += 1
+                    self.last_loop_error = f"{type(error).__name__}: {error}"
                     continue
                 if path is not None and on_snapshot is not None:
                     on_snapshot(path)

@@ -12,7 +12,7 @@ from typing import Iterator
 import numpy as np
 
 from ..autograd import Tensor
-from ..perf import profiler as _profiler
+from ..autograd.tensor import _PROFILER
 
 __all__ = ["Parameter", "Module"]
 
@@ -140,7 +140,7 @@ class Module:
         raise NotImplementedError
 
     def __call__(self, *args, **kwargs):
-        profiler = _profiler._ACTIVE
+        profiler = _PROFILER.get()
         if profiler is not None:
             return profiler._call_module(self, args, kwargs)
         return self.forward(*args, **kwargs)

@@ -43,7 +43,7 @@ __all__ = [
 
 
 def _tracking(*tensors: Tensor) -> bool:
-    if not _tensor._GRAD_ENABLED:
+    if not _tensor._GRAD_ENABLED.get():
         return False
     return any(t is not None and t.requires_grad for t in tensors)
 

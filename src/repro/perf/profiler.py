@@ -19,6 +19,9 @@ Typical use::
 
 The ``repro profile`` CLI subcommand wraps exactly this around a few
 training steps; ``docs/performance.md`` documents how to read the output.
+
+A profiler sees the thread that enabled it, and only that one: the active
+profiler is per thread, like the grad mode (``repro.autograd.tensor``).
 """
 
 from __future__ import annotations
@@ -33,14 +36,10 @@ from ..utils import render_table
 
 __all__ = ["OpProfiler", "active_profiler"]
 
-# The active profiler, or None. Module.__call__ reads this module global on
-# every call, so activation must go through OpProfiler.enable/disable.
-_ACTIVE: "OpProfiler | None" = None
-
 
 def active_profiler() -> "OpProfiler | None":
-    """Return the currently enabled profiler (None when profiling is off)."""
-    return _ACTIVE
+    """Return the profiler enabled on this thread (None when profiling is off)."""
+    return _tensor._PROFILER.get()
 
 
 def _op_name(closure) -> str:
@@ -77,23 +76,21 @@ class OpProfiler:
         self.events: list[tuple[str, str, float, float]] = []
         self._origin = time.perf_counter()
         self._stack: list[float] = []
-        self._previous = None
+        self._token = None
 
     # -- activation ----------------------------------------------------
     def enable(self) -> "OpProfiler":
-        """Install this profiler into the Tensor/Module hook points."""
-        global _ACTIVE
-        self._previous = _ACTIVE
-        _ACTIVE = self
-        _tensor._set_profiler(self)
+        """Install this profiler into the Tensor/Module hook points of the
+        calling thread; ops on other threads are not seen."""
+        self._token = _tensor._PROFILER.set(self)
         return self
 
     def disable(self) -> "OpProfiler":
-        """Remove this profiler, restoring whatever was active before."""
-        global _ACTIVE
-        _ACTIVE = self._previous
-        _tensor._set_profiler(self._previous)
-        self._previous = None
+        """Remove this profiler, restoring whatever was active before. Call
+        it on the thread that called :meth:`enable`."""
+        if self._token is not None:
+            _tensor._PROFILER.reset(self._token)
+            self._token = None
         return self
 
     def __enter__(self) -> "OpProfiler":

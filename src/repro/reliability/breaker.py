@@ -21,6 +21,7 @@ callables the serving layer wires up.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
 from dataclasses import dataclass
@@ -77,18 +78,21 @@ class RetryPolicy:
 def call_with_timeout(fn: Callable[[], T], timeout_s: float | None) -> T:
     """Run ``fn`` with a wall-clock budget.
 
-    The call executes on a daemon thread; on timeout the caller gets
-    :class:`ScoringTimeoutError` immediately while the stray call finishes
-    (or wedges) in the background without pinning anything.
+    The call executes on a daemon thread, in a copy of the caller's
+    ``contextvars`` context (so under the caller's grad mode and dtype);
+    on timeout the caller gets :class:`ScoringTimeoutError` immediately
+    while the stray call finishes (or wedges) in the background without
+    pinning anything.
     """
     if timeout_s is None:
         return fn()
     outcome: dict[str, object] = {}
     done = threading.Event()
+    context = contextvars.copy_context()
 
     def run() -> None:
         try:
-            outcome["value"] = fn()
+            outcome["value"] = context.run(fn)
         except BaseException as error:  # noqa: BLE001 — relayed to the caller
             outcome["error"] = error
         finally:

@@ -64,7 +64,7 @@ def write(path, lines):
     return path
 
 
-@pytest.fixture(params=[1, 2, 7, 256], ids=lambda n: f"chunk{n}")
+@pytest.fixture(params=[1, 2, 7, 256, 2048], ids=lambda n: f"chunk{n}")
 def chunk(request, monkeypatch):
     monkeypatch.setattr(ingest, "_CHUNK", request.param)
     return request.param
@@ -84,6 +84,19 @@ def test_bad_line_is_named_by_path_and_line(case, chunk, tmp_path):
         assert (caught.value.path, caught.value.line) == (str(path), 4)
         assert str(caught.value).startswith(f"{path}, line 4: ")
         assert fragment in str(caught.value)
+
+
+@pytest.mark.parametrize("case", ["float item", "bool op", "item overflows", "truncated"])
+def test_a_bad_line_after_a_thousand_canonical_lines_is_named(case, tmp_path):
+    """One chunk of 2,048 lines: canonical but for line 1,001, which sends
+    the whole chunk to the per-line parser; it must still stop there."""
+    good = [json.dumps({"session_id": n, "events": [[n % 7, n % 10], [3, 1]]}) for n in range(1000)]
+    path = write(tmp_path / "s.jsonl", [*good, BAD_LINES[case][0], *good])
+    assert ingest._CHUNK >= 2001
+    with pytest.raises(SessionFormatError) as caught:
+        pack_sessions_jsonl(path, JD_OPERATIONS, min_support=1)
+    assert caught.value.line == 1001
+    assert BAD_LINES[case][1] in str(caught.value)
 
 
 def test_an_object_split_over_two_lines_is_rejected_at_its_first_line(chunk, tmp_path):
@@ -120,10 +133,12 @@ def test_operation_outside_the_vocabulary_is_named(op, chunk, tmp_path):
 
 def test_int64_limits_and_non_canonical_spacing_are_accepted(chunk, tmp_path):
     """Whatever ``json.loads`` accepts per line is read with its values:
-    other spacing, key order, extra keys, the int64 limits, blank lines."""
+    other spacing, key order, extra keys, an escaped key, the int64
+    limits, blank lines."""
     lines = [
         f'{{"events": [[{2**63 - 1}, 0], [{-2**63}, 9]], "session_id": {-2**63}, "user": "x"}}',
         "",
+        '{"session\\u005fid": 9, "ev\\u0065nts": [[4, 1]]}',
         '  {"session_id":7,"events":[ [ 3 ,1 ],[3,2]] }\t',
         '{"session_id": 8, "events": []}',
         GOOD,

@@ -137,3 +137,26 @@ class TestLoop:
             time.sleep(0.01)
         stop.set()
         assert seen and seen[0].exists()
+
+    def test_start_loop_counts_the_errors_it_survives(self, base, tmp_path, monkeypatch):
+        trainer, buffer, _ = make_trainer(base, tmp_path)
+        feed_sessions(buffer)
+        calls = []
+
+        def failing_then_real():
+            calls.append(None)
+            if len(calls) <= 2:
+                raise RuntimeError("backward() called on a tensor that does not require grad")
+            return OnlineTrainer.snapshot(trainer)
+
+        monkeypatch.setattr(trainer, "snapshot", failing_then_real)
+        assert (trainer.loop_failures, trainer.last_loop_error) == (0, None)
+        seen = []
+        stop = trainer.start_loop(0.01, on_snapshot=seen.append)
+        deadline = time.monotonic() + 5.0
+        while not seen and time.monotonic() < deadline:
+            time.sleep(0.01)
+        stop.set()
+        assert seen, "the loop stopped after the errors"
+        assert trainer.loop_failures == 2
+        assert trainer.last_loop_error.startswith("RuntimeError: backward() called")
