@@ -8,9 +8,9 @@ synthetic JD-like data. It is the repo's training-perf trajectory: CI runs
 it with ``--smoke`` and uploads the JSON, and ``docs/performance.md``
 explains how to read the output.
 
-The timed region replicates ``Trainer._train_batch`` without the
-watchdog: zero_grad -> forward -> cross-entropy -> backward -> clip ->
-Adam step. ``tokens/sec`` counts valid *micro-behavior events*
+The timed region is the whole-batch step the trainer's ``train_step``
+wraps, without the watchdog and the one-shard executor's gradient copies:
+zero_grad -> forward -> cross-entropy -> backward -> clip -> Adam step. ``tokens/sec`` counts valid *micro-behavior events*
 (``micro_mask.sum()``) so the number is comparable across models. The
 committed ``train_perf_baseline.json`` was recorded on a tree that
 predates the fused kernels; its one entry per model is that tree's

@@ -52,6 +52,7 @@ from .data import (
 )
 from .data.io import DatasetFormatError
 from .eval import ExperimentConfig, ExperimentRunner, improvement_table
+from .reliability import TrainingStateError
 from .utils import render_table
 
 __all__ = ["main"]
@@ -102,7 +103,7 @@ def _add_parallel_args(p: argparse.ArgumentParser) -> None:
         default=0,
         metavar="G",
         help="gradient summation-tree grid; 0 = auto (follows --workers), "
-        "1 = the classic whole-batch path (docs/performance.md, Parallelism)",
+        "1 = one shard per batch (docs/performance.md, Parallelism)",
     )
 
 
@@ -554,7 +555,7 @@ def _cmd_evaluate(args) -> int:
     if args.artifact:
         # The bundle carries model name, dims, and weights; the dataset only
         # supplies the test examples to score.
-        dataset = load_prepared_dataset(args.dataset)
+        dataset = _load_dataset(args.dataset)
         recommender = NeuralRecommender.from_artifact(args.artifact)
         print(f"loaded {recommender.name} from {args.artifact}")
     else:
@@ -606,9 +607,10 @@ def _cmd_profile(args) -> int:
 
     from .autograd import default_dtype
     from .data.dataset import DataLoader
-    from .eval.trainer import NeuralRecommender
-    from .nn import Adam, clip_grad_norm
-    from .objectives import StepContext, build_objective
+    from .eval.trainer import NeuralRecommender, train_step
+    from .nn import Adam
+    from .objectives import build_objective
+    from .parallel import SerialShardExecutor
     from .perf import OpProfiler
 
     for name in ("steps", "batch_size", "dim"):
@@ -646,20 +648,18 @@ def _cmd_profile(args) -> int:
         )
         batches = list(loader)
         model.train()
+        # The trainer's own step on the one-shard grid, unwatched: a
+        # profile times the step's work, not divergence recovery.
+        executor = SerialShardExecutor(model, grad_shards=1, seed=args.seed, objective=objective)
         profiler = OpProfiler()
         components: dict[str, float] = {}
         start = time.perf_counter()
         with profiler:
             for step in range(args.steps):
-                batch = batches[step % len(batches)]
-                optimizer.zero_grad()
-                ctx = StepContext(seed=args.seed, epoch=0, batch_index=step)
-                objective.begin_step(ctx)
-                parts = objective.compute(model, batch)
-                parts.loss.backward()
-                components = parts.component_values()
-                clip_grad_norm(model.parameters(), 5.0)
-                optimizer.step()
+                _, components = train_step(
+                    executor, optimizer, None, epoch=0, batch_index=step,
+                    grad_clip=5.0, batch=batches[step % len(batches)],
+                )
         elapsed = time.perf_counter() - start
     print(
         f"{args.model} ({args.dtype}): {args.steps} steps in {elapsed:.3f}s "
@@ -1027,7 +1027,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except DatasetFormatError as error:
+    except (DatasetFormatError, TrainingStateError) as error:
         print(error, file=sys.stderr)
         return 1
 

@@ -16,9 +16,9 @@ micro-behavior structure the paper models:
 Determinism follows the stateless-stream idiom of
 :mod:`repro.parallel.sharding`: every view draws from a fresh
 ``np.random.default_rng`` seeded by a domain tag plus
-``(seed, epoch, batch, shard, retry, view)``, so whole-batch,
-serial-shard, and forked-worker executions of the same step all build the
-exact same views without sharing any mutable stream.
+``(seed, epoch, batch, shard, retry, view)``, so serial-shard and
+forked-worker executions of the same step build the exact same views
+without sharing any mutable stream.
 
 Shape discipline: an augmented view keeps the *exact* padded dimensions of
 its source batch (dropout only shortens micro rows; reorder and

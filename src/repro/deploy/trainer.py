@@ -6,7 +6,10 @@ rebuilds per-session state with the *same* merge-successive semantics the
 serving path uses (:class:`~repro.serve.LiveSession`), harvests
 prefix→next-item training examples from every genuine macro transition,
 and runs seeded mini-epochs of Adam on the most recent examples starting
-from the incumbent's weights. Each :meth:`snapshot` emits a
+from the incumbent's weights — through the offline trainer's own
+:func:`~repro.eval.trainer.train_step`, so a diverging batch is rolled
+back by the same watchdog and fails the snapshot instead of shipping
+NaN weights. Each :meth:`snapshot` emits a
 self-describing artifact through :mod:`repro.artifacts` (atomic write)
 and records it in the :class:`~repro.deploy.lineage.DeploymentStore` as a
 ``candidate`` with full version lineage — ready for
@@ -24,7 +27,10 @@ import numpy as np
 from ..autograd import default_dtype
 from ..data.packed import PackedSplit
 from ..data.schema import MacroSession
-from ..nn import Adam, clip_grad_norm
+from ..eval.trainer import train_step
+from ..nn import Adam
+from ..parallel import SerialShardExecutor
+from ..reliability import DivergenceWatchdog
 from ..serve import LiveSession
 from .buffer import EventRingBuffer
 from .lineage import DeploymentStore, param_hash
@@ -143,9 +149,12 @@ class OnlineTrainer:
         The objective comes from the spec's portable train settings, so a
         model offline-trained under EMBSR-SSL keeps its contrastive term
         while adapting online — the spec is the single source of truth for
-        *what* is optimized on every path.
+        *what* is optimized on every path. Each batch is one
+        :func:`~repro.eval.trainer.train_step` on the one-shard grid, under
+        a :class:`~repro.reliability.DivergenceWatchdog` that raises
+        :class:`~repro.reliability.DivergenceError` once its retries are spent.
         """
-        from ..objectives import StepContext, build_objective
+        from ..objectives import build_objective
 
         spec = self.base.spec
         train = dict(spec.train or {})
@@ -162,6 +171,8 @@ class OnlineTrainer:
             model.load_state_dict(self._weights)
             model.train()
             optimizer = Adam(model.parameters(), lr=self.lr)
+            executor = SerialShardExecutor(model, grad_shards=1, seed=run_seed, objective=objective)
+            watchdog = DivergenceWatchdog(model, optimizer)
             losses: list[float] = []
             for mini_epoch in range(self.mini_epochs):
                 order = rng.permutation(len(examples))
@@ -170,15 +181,12 @@ class OnlineTrainer:
                         order[start : start + self.batch_size],
                         max_ops_per_item=self.max_ops_per_item,
                     )
-                    optimizer.zero_grad()
-                    objective.begin_step(
-                        StepContext(seed=run_seed, epoch=mini_epoch, batch_index=batch_no)
+                    loss, _ = train_step(
+                        executor, optimizer, watchdog,
+                        epoch=mini_epoch, batch_index=batch_no,
+                        grad_clip=self.grad_clip, batch=batch,
                     )
-                    parts = objective.compute(model, batch)
-                    parts.loss.backward()
-                    clip_grad_norm(model.parameters(), self.grad_clip)
-                    optimizer.step()
-                    losses.append(float(parts.loss.item()))
+                    losses.append(loss)
             return model.state_dict(), float(np.mean(losses))
 
     def snapshot(self) -> pathlib.Path | None:

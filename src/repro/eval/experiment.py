@@ -55,7 +55,7 @@ class ExperimentConfig:
     resume_from: str | None = None
     # Data-parallel training (docs/performance.md, "Parallelism").
     workers: int = 1
-    grad_shards: int = 0  # 0 = auto (follows workers); 1 = classic path
+    grad_shards: int = 0  # 0 = auto (follows workers); 1 = one shard per batch
     # Training objective (docs/objectives.md). None = defer to the model's
     # registry entry (EMBSR-SSL pins "ssl"); set explicitly to override.
     objective: str | None = None

@@ -5,13 +5,19 @@ model selection on the validation split (we track MRR@20), and a bounded
 epoch budget. Gradient clipping and StepLR decay follow the SR-GNN family's
 reference implementations.
 
+Every step runs :func:`train_step` over a shard-grid executor, the
+one-shard grid (``grad_shards = 1``) included; the online learner and
+``repro profile`` run the same function.
+
 Crash safety (``docs/reliability.md``): :meth:`Trainer.fit` periodically
 writes the *full* training state — parameters, Adam moments, StepLR
-position, epoch/batch cursor, loader shuffle epoch, and every model RNG
-stream — through an atomic temp-file+rename, and :meth:`Trainer.resume`
-continues a killed run to results bit-identical with an uninterrupted one.
-A divergence watchdog rolls back NaN/Inf batches, halves the LR, and
-aborts with a clear error once its retry budget is spent.
+position, epoch/batch cursor and loader shuffle epoch — through an atomic
+temp-file+rename, and :meth:`Trainer.resume` continues a killed run to
+results bit-identical with an uninterrupted one (dropout draws from
+streams pure in ``(seed, epoch, batch, shard, retry)``, so there is no
+generator state to save). A divergence watchdog rolls back NaN/Inf
+batches, halves the LR, and aborts with a clear error once its retry
+budget is spent.
 """
 
 from __future__ import annotations
@@ -26,20 +32,18 @@ from ..autograd import MODEL_DTYPE, default_dtype, no_grad
 from ..data.dataset import DataLoader, SessionBatch
 from ..data.preprocess import PreparedDataset
 from ..nn import Adam, Module, StepLR, clip_grad_norm
-from ..objectives import Objective, StepContext, build_objective
+from ..objectives import Objective, build_objective
 from ..reliability import (
     DivergenceWatchdog,
     TrainingState,
-    capture_rng_states,
     failpoint,
     load_training_state,
-    restore_rng_states,
     save_training_state,
 )
 from .metrics import evaluate_scores
 from .recommender import Recommender
 
-__all__ = ["TrainConfig", "Trainer", "NeuralRecommender"]
+__all__ = ["TrainConfig", "Trainer", "NeuralRecommender", "train_step"]
 
 # Resuming with any of these changed would silently train a different run;
 # epochs/patience/verbose may legitimately differ (e.g. extending a run).
@@ -93,8 +97,8 @@ class TrainConfig:
     # -- parallelism knobs (docs/performance.md, "Parallelism") ------------
     workers: int = 1           # forked data-parallel workers (1 = in-process)
     grad_shards: int = 0       # summation-tree grid; 0 = auto (max(workers, 1)).
-                               # 1 trains the classic whole-batch path bit-for-bit;
-                               # G > 1 is bit-identical across ANY worker count.
+                               # Every G, 1 included, is bit-identical across
+                               # ANY worker count up to G.
     # -- reliability knobs (docs/reliability.md) ---------------------------
     checkpoint_path: str | None = None   # training-state file; None disables
     checkpoint_every: int = 0            # also save every N batches (0 = epoch ends only)
@@ -110,16 +114,15 @@ class EpochStats:
     train_loss: float
     valid_metric: float
     # Per-component mean training losses, e.g. {"ce": ..., "infonce": ...}.
-    # Empty for histories written before composable objectives existed.
     components: dict = field(default_factory=dict)
 
 
 class _LossProbe:
     """Mutable stand-in for the loss tensor at the ``trainer.loss`` failpoint.
 
-    On the executor path the real loss tensors live in the shards (or in
-    forked workers) and only their reduced float comes back; armed fault
-    actions still expect something with a mutable ``.data`` to poison.
+    The real loss tensors live in the shards (or in forked workers) and
+    only their reduced float comes back; armed fault actions still expect
+    something with a mutable ``.data`` to poison.
     """
 
     __slots__ = ("data",)
@@ -129,6 +132,46 @@ class _LossProbe:
 
     def item(self) -> float:
         return float(self.data)
+
+
+def train_step(
+    executor,
+    optimizer: Adam,
+    watchdog: DivergenceWatchdog | None,
+    *,
+    epoch: int,
+    batch_index: int,
+    grad_clip: float,
+    batch: SessionBatch | None = None,
+) -> tuple[float, dict]:
+    """One optimization step, retried under the divergence watchdog.
+
+    ``executor`` (:class:`~repro.parallel.SerialShardExecutor` or
+    :class:`~repro.parallel.DataParallelEngine`) leaves the grid-gradient
+    of batch ``(epoch, batch_index)`` on ``p.grad``; the step clips it and
+    applies it unless the watchdog vetoes. Returns ``(loss, per-component
+    losses)``. A rolled-back batch reruns with the next ``retry``, which
+    keys both the per-shard dropout streams and the objective's
+    :class:`~repro.objectives.StepContext`, so it redraws fresh masks and
+    augmented views.
+    """
+    retry = 0
+    while True:
+        loss = _LossProbe(executor.compute(epoch, batch_index, retry, batch=batch))
+        failpoint("trainer.loss", loss)
+        loss_value = float(loss.item())
+        grad_norm = clip_grad_norm(executor.model.parameters(), grad_clip)
+        if watchdog is None or watchdog.healthy(loss_value, grad_norm):
+            optimizer.step()
+            if watchdog is not None:
+                watchdog.record_good()
+            return loss_value, dict(executor.last_components)
+        watchdog.recover(
+            where=f"epoch {epoch}, batch {batch_index}",
+            loss=loss_value,
+            grad_norm=grad_norm,
+        )
+        retry += 1
 
 
 class Trainer:
@@ -196,24 +239,9 @@ class Trainer:
 
     def _validate_resume_config(self, saved: dict, path) -> None:
         current = asdict(self.config)
-        # Shard-grid normalization: checkpoints always record the *resolved*
-        # grid (pre-parallelism checkpoints trained the classic grid, 1),
-        # and a current config still on auto (0) adopts whatever the
-        # checkpoint trained with — resuming never silently changes math.
-        saved = dict(saved)
-        saved.setdefault("grad_shards", 1)
-        if saved.get("bucket_lengths"):
-            # Padding is math-bearing (masked positions still draw dropout),
-            # and the ladder that produced this run's padded shapes is gone.
-            raise ValueError(
-                f"cannot resume from {path}: the state was trained with "
-                "bucket_lengths=True, an option that no longer exists, so its "
-                "padding cannot be reproduced"
-            )
-        # Pre-objective checkpoints trained plain cross-entropy.
-        saved.setdefault("objective", "ce")
-        saved.setdefault("cl_weight", 0.1)
-        if not current.get("grad_shards"):
+        # States record the *resolved* grid; a current config still on auto
+        # (0) adopts it — resuming never silently changes math.
+        if not current["grad_shards"]:
             current["grad_shards"] = saved["grad_shards"]
         mismatched = {
             name: (saved.get(name), current[name])
@@ -239,21 +267,17 @@ class Trainer:
         if cfg.grad_shards:
             return int(cfg.grad_shards)
         if state is not None:
-            return int(state.config.get("grad_shards", 1)) or 1
+            return int(state.config["grad_shards"])
         return max(int(cfg.workers), 1)
 
     def _make_executor(self, grad_shards: int, train_loader: DataLoader, dataset):
-        """Executor for the shard grid: None (classic), serial, or forked.
+        """``(executor, engine)`` for the shard grid: serial or forked.
 
-        ``grad_shards == 1`` keeps the original whole-batch code path —
-        including its persistent dropout streams — bit-for-bit. A grid
-        needs the per-shard math; it runs in-process below 2 effective
-        workers and forks a :class:`~repro.parallel.DataParallelEngine`
-        otherwise (the engine doubles as the executor *and* fans out the
-        validation passes).
+        Below 2 effective workers — always so at ``grad_shards == 1`` —
+        the grid runs in-process and ``engine`` is ``None``; otherwise a
+        :class:`~repro.parallel.DataParallelEngine` is both the executor
+        *and* the fan-out of the validation passes.
         """
-        if grad_shards <= 1:
-            return None, None
         from ..parallel import DataParallelEngine, SerialShardExecutor
 
         cfg = self.config
@@ -308,7 +332,6 @@ class Trainer:
             self.model.load_state_dict(state.model_state)
             optimizer.load_state_dict(state.optimizer_state)
             scheduler.load_state_dict(state.scheduler_state)
-            restore_rng_states(self.model, state.rng_states)
             start_epoch, start_batch = state.epoch, state.batch_index
             global_step = state.global_step
             best_metric, best_state, stale = state.best_metric, state.best_state, state.stale
@@ -343,7 +366,6 @@ class Trainer:
                     optimizer_state=optimizer.state_dict(),
                     scheduler_state=scheduler.state_dict(),
                     loader_state={"seed": cfg.seed, "epoch": epoch},
-                    rng_states=capture_rng_states(self.model),
                     best_metric=float(best_metric),
                     best_state=best_state,
                     stale=stale,
@@ -372,9 +394,10 @@ class Trainer:
                 for batch_index, batch in batch_iter:
                     if batch_index < skip:
                         continue  # replaying a resumed epoch up to the cursor
-                    loss_value, components = self._train_batch(
-                        batch, optimizer, watchdog,
-                        epoch=epoch, batch_index=batch_index, executor=executor,
+                    loss_value, components = train_step(
+                        executor, optimizer, watchdog,
+                        epoch=epoch, batch_index=batch_index,
+                        grad_clip=cfg.grad_clip, batch=batch,
                     )
                     global_step += 1
                     losses.append(loss_value)
@@ -418,59 +441,6 @@ class Trainer:
         if best_state is not None:
             self.model.load_state_dict(best_state)
         return self
-
-    def _train_batch(
-        self,
-        batch: SessionBatch | None,
-        optimizer: Adam,
-        watchdog: DivergenceWatchdog | None,
-        epoch: int,
-        batch_index: int,
-        executor=None,
-    ) -> tuple[float, dict]:
-        """One optimization step, retried under the divergence watchdog.
-
-        Returns ``(loss, per-component losses)``. With an ``executor``
-        (shard grid active) the forward/backward runs through
-        :meth:`~repro.parallel.SerialShardExecutor.compute`; the retry
-        counter feeds the per-shard dropout streams so a rolled-back batch
-        redraws fresh masks, like the classic path does by consuming
-        further along its persistent streams. The retry counter also feeds
-        the objective's :class:`~repro.objectives.StepContext`, so
-        objective randomness (augmented views) redraws alongside.
-        """
-        cfg = self.config
-        retry = 0
-        while True:
-            optimizer.zero_grad()
-            ctx = StepContext(
-                seed=cfg.seed, epoch=epoch, batch_index=batch_index, shard=0, retry=retry
-            )
-            if executor is None:
-                self.objective.begin_step(ctx)
-                parts = self.objective.compute(self.model, batch)
-                loss = parts.loss
-                failpoint("trainer.loss", loss)
-                loss_value = float(loss.item())
-                loss.backward()
-                components = parts.component_values()
-            else:
-                loss = _LossProbe(executor.compute(epoch, batch_index, retry, batch=batch))
-                failpoint("trainer.loss", loss)
-                loss_value = float(loss.item())
-                components = dict(executor.last_components)
-            grad_norm = clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-            if watchdog is None or watchdog.healthy(loss_value, grad_norm):
-                optimizer.step()
-                if watchdog is not None:
-                    watchdog.record_good()
-                return loss_value, components
-            watchdog.recover(
-                where=f"epoch {epoch}, batch {batch_index}",
-                loss=loss_value,
-                grad_norm=grad_norm,
-            )
-            retry += 1
 
     # ------------------------------------------------------------------
     def evaluate(

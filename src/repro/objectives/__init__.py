@@ -1,9 +1,9 @@
 """Composable training objectives (docs/objectives.md).
 
-Every training path — :class:`~repro.eval.Trainer` batches, the
-shard-grid executors of :mod:`repro.parallel`, and the online
-mini-trainer in :mod:`repro.deploy` — consumes an :class:`Objective`
-instead of inlining a loss expression. :func:`build_objective` maps the
+The one training step (:func:`repro.eval.trainer.train_step`, run by the
+:class:`~repro.eval.Trainer`, the online mini-trainer in
+:mod:`repro.deploy` and ``repro profile``) computes each shard through an
+:class:`Objective` instead of inlining a loss expression. :func:`build_objective` maps the
 ``TrainConfig`` ``objective`` name to a concrete instance.
 """
 

@@ -1,19 +1,21 @@
-"""The composable training-objective seam shared by all three training paths.
+"""The composable training-objective seam of the one training step.
 
-The trainer, the shard executors, and the online mini-trainer each ask
+The shard executors behind :func:`repro.eval.trainer.train_step` (which
+the trainer, the online mini-trainer and ``repro profile`` all run) ask
 an :class:`Objective` for ``(scalar loss, named component losses)``
 instead of inlining ``cross_entropy(model(batch), batch.target_classes)``,
-so an auxiliary loss is written once and every path stays agnostic of
+so an auxiliary loss is written once and the step stays agnostic of
 *what* is being optimized.
 
 Contracts every objective must honor (docs/objectives.md):
 
 * **Purity per step.** ``compute`` must be a pure function of the model
-  parameters, the batch content, the module RNG streams it consumes, and
-  the :class:`StepContext` installed by ``begin_step``. Any extra
-  randomness must come from *stateless* generators keyed by the context
-  (see :func:`repro.data.augment.view_generator`) so whole-batch,
-  serial-shard, and forked-worker executions of a step agree bitwise.
+  parameters, the batch content, the per-shard dropout stream its
+  modules consume, and the :class:`StepContext` installed by
+  ``begin_step``. Any extra randomness must come from *stateless*
+  generators keyed by the context (see
+  :func:`repro.data.augment.view_generator`) so serial-shard and
+  forked-worker executions of a step agree bitwise.
 * **Shard decomposability.** With ``total`` set (the full batch's row
   count), the fixed-order sum of per-shard losses must equal the
   whole-batch loss, mirroring :func:`repro.nn.cross_entropy`'s ``total``
@@ -95,7 +97,7 @@ class Objective:
         """Loss of ``batch`` under ``model``; see the module contract.
 
         ``total`` carries the full batch's row count when ``batch`` is one
-        shard of it (``None`` on the whole-batch paths).
+        shard of it (``None`` when ``batch`` is scored whole).
         """
         raise NotImplementedError
 

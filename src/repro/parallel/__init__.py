@@ -12,8 +12,10 @@ Two independent fan-out paths share this package:
   ``model × dataset`` cells of the paper tables run through a process
   pool and merge deterministically.
 
-Both are opt-in (``--workers N`` on the CLI and benchmark drivers) and
-degrade to the classic serial code path at ``workers=1``.
+Both are opt-in (``--workers N`` on the CLI and the benchmark scripts). At
+``workers=1`` training runs the same shard grid in-process
+(:class:`~repro.parallel.SerialShardExecutor`, one shard by default) and
+benchmark cells run serially.
 """
 
 from .engine import DataParallelEngine, SerialShardExecutor, WorkerError

@@ -6,7 +6,8 @@ grid's gradient for batch ``(epoch, batch_index)`` and leave it on
 worker count, defines the math):
 
 * :class:`SerialShardExecutor` walks the G shards in one process. It is
-  the reference implementation and the fallback when ``workers <= 1``.
+  the reference implementation and runs every in-process step, the
+  one-shard grid (``G = 1``) included.
 * :class:`DataParallelEngine` forks N worker processes that each own a
   contiguous range of the G shards. Parameters travel master → workers
   through one shared block; each shard's gradient comes back in its own
@@ -112,16 +113,16 @@ def _sum_components(rows: np.ndarray, names: tuple) -> dict:
     return out
 
 
-class SerialShardExecutor:
-    """The canonical shard grid, executed sequentially in one process.
+class _ShardGrid:
+    """What both executors share: the grid's identity and the one step body.
 
-    Exists for two reasons: it *defines* the math the multi-process engine
-    must reproduce bit-for-bit (``tests/parallel/test_parity.py`` diffs
-    the two), and it serves ``grad_shards > 1`` on a single worker so a
-    run checkpointed under N workers can resume anywhere.
+    A subclass allocates ``_grads`` (``[G, P]``), ``_losses`` (``[G]``) and
+    ``_components`` (``[G, C]``); :meth:`_run_shard` fills row ``s`` of
+    each, wherever the shard runs, and :meth:`_reduce` folds the rows in
+    shard order onto the master's ``p.grad``.
     """
 
-    def __init__(self, model, *, grad_shards: int, seed: int, objective=None) -> None:
+    def __init__(self, model, *, grad_shards: int, seed: int, objective) -> None:
         if grad_shards < 1:
             raise ValueError("grad_shards must be >= 1")
         self.model = model
@@ -131,7 +132,67 @@ class SerialShardExecutor:
         self.last_components: dict[str, float] = {}
         self._component_names = tuple(self.objective.component_names)
         self._layout = ParamLayout(model.parameters())
+        # A forked worker's copy of this list points at its own modules.
         self._rng_modules = collect_rng_modules(model)
+
+    def _run_shard(
+        self,
+        s: int,
+        shard: SessionBatch | None,
+        *,
+        total: int,
+        epoch: int,
+        batch_index: int,
+        retry: int,
+    ) -> None:
+        """Forward/backward of shard ``s`` into row ``s`` of the grid blocks.
+
+        ``shard`` is ``None`` for an empty shard (a batch with fewer rows
+        than shards), which contributes zero rows. Dropout draws from the
+        shard's stateless stream, so the row is the same in any process.
+        """
+        from ..objectives import StepContext
+
+        if shard is None:
+            self._grads[s].fill(0)
+            self._losses[s] = 0.0
+            self._components[s].fill(0)
+            return
+        for p in self._layout.parameters:
+            p.zero_grad()
+        ctx = StepContext(seed=self.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry)
+        with shard_rng(self._rng_modules, shard_generator(self.seed, epoch, batch_index, s, retry)):
+            self.objective.begin_step(ctx)
+            parts = self.objective.compute(self.model, shard, total=total)
+            self._losses[s] = float(parts.loss.item())
+            parts.loss.backward()
+            values = parts.component_values()
+            for j, name in enumerate(self._component_names):
+                self._components[s, j] = values.get(name, 0.0)
+        self._layout.write_grads(self._grads[s])
+
+    def _reduce(self) -> float:
+        """Fold the rows onto ``p.grad``; return the fixed-order total loss."""
+        reduce_shards(self._grads, self._acc)
+        self._layout.assign_grads(self._acc)
+        total_loss = 0.0
+        for s in range(self.grad_shards):
+            total_loss += float(self._losses[s])
+        self.last_components = _sum_components(self._components, self._component_names)
+        return total_loss
+
+
+class SerialShardExecutor(_ShardGrid):
+    """The canonical shard grid, executed sequentially in one process.
+
+    Every in-process training step runs here, ``grad_shards = 1``
+    included. It also *defines* the math the multi-process engine must
+    reproduce bit-for-bit (``tests/parallel/test_parity.py`` diffs the
+    two), so a run checkpointed under N workers can resume anywhere.
+    """
+
+    def __init__(self, model, *, grad_shards: int, seed: int, objective=None) -> None:
+        super().__init__(model, grad_shards=grad_shards, seed=seed, objective=objective)
         total = self._layout.total
         self._grads = np.zeros((grad_shards, total), dtype=self._layout.dtype)
         self._acc = np.empty(total, dtype=self._layout.dtype)
@@ -149,47 +210,21 @@ class SerialShardExecutor:
         losses (each already divided by the full batch size), i.e. the
         whole-batch mean NLL computed through the canonical tree.
         """
-        from ..objectives import StepContext
-
         if batch is None:
             raise ValueError("SerialShardExecutor.compute needs the collated batch")
         total_rows = batch.batch_size
-        bounds = shard_bounds(total_rows, self.grad_shards)
-        for s, (lo, hi) in enumerate(bounds):
-            if lo == hi:
-                self._grads[s].fill(0)
-                self._losses[s] = 0.0
-                self._components[s].fill(0)
-                continue
-            shard = slice_batch(batch, lo, hi)
-            for p in self._layout.parameters:
-                p.zero_grad()
-            ctx = StepContext(
-                seed=self.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry
+        for s, (lo, hi) in enumerate(shard_bounds(total_rows, self.grad_shards)):
+            self._run_shard(
+                s, slice_batch(batch, lo, hi) if lo < hi else None,
+                total=total_rows, epoch=epoch, batch_index=batch_index, retry=retry,
             )
-            generator = shard_generator(self.seed, epoch, batch_index, s, retry)
-            with shard_rng(self._rng_modules, generator):
-                self.objective.begin_step(ctx)
-                parts = self.objective.compute(self.model, shard, total=total_rows)
-                self._losses[s] = float(parts.loss.item())
-                parts.loss.backward()
-                values = parts.component_values()
-                for j, name in enumerate(self._component_names):
-                    self._components[s, j] = values.get(name, 0.0)
-            self._layout.write_grads(self._grads[s])
-        reduce_shards(self._grads, self._acc)
-        self._layout.assign_grads(self._acc)
-        total_loss = 0.0
-        for s in range(self.grad_shards):
-            total_loss += float(self._losses[s])
-        self.last_components = _sum_components(self._components, self._component_names)
-        return total_loss
+        return self._reduce()
 
     def shutdown(self) -> None:
         """Nothing to tear down; present for executor interface symmetry."""
 
 
-class DataParallelEngine:
+class DataParallelEngine(_ShardGrid):
     """Forked workers computing disjoint shard ranges of every batch.
 
     Construction allocates the shared blocks and forks the workers
@@ -223,19 +258,14 @@ class DataParallelEngine:
             raise ValueError(f"grad_shards ({grad_shards}) must be >= workers ({workers})")
         if sys.platform == "win32":  # pragma: no cover - engine is fork-only
             raise RuntimeError("data-parallel training requires the fork start method")
-        self.model = model
+        # The objective is resolved before the fork so every worker inherits
+        # the identical instance (weights, augment knobs, component order).
+        super().__init__(model, grad_shards=grad_shards, seed=seed, objective=objective)
         self.loader = train_loader
         self.workers = workers
-        self.grad_shards = grad_shards
-        self.seed = seed
         self.dtype = dtype
         self.timeout = timeout
         self.num_items = num_items
-        # Resolved before the fork so every worker inherits the identical
-        # objective instance (weights, augment knobs, component order).
-        self.objective = objective if objective is not None else _default_objective()
-        self.last_components: dict[str, float] = {}
-        self._component_names = tuple(self.objective.component_names)
         # Eval splits are CSR arrays, packed here before the fork, so the
         # workers share the file-backed/COW pages of one copy.
         self._eval_splits = [
@@ -243,7 +273,6 @@ class DataParallelEngine:
             for name, split in (eval_splits or {}).items()
         ]
         self._split_index = {name: i for i, (name, _) in enumerate(self._eval_splits)}
-        self._layout = ParamLayout(model.parameters())
         self._arena = SharedArena()
         self._procs: list = []
         self._started = False
@@ -390,13 +419,7 @@ class DataParallelEngine:
         """
         del batch
         self._command(_CMD_TRAIN, epoch, batch_index, retry)
-        reduce_shards(self._grads, self._acc)
-        self._layout.assign_grads(self._acc)
-        total_loss = 0.0
-        for s in range(self.grad_shards):
-            total_loss += float(self._losses[s])
-        self.last_components = _sum_components(self._components, self._component_names)
-        return total_loss
+        return self._reduce()
 
     def predict(self, split: str, batch_size: int = 128) -> tuple[np.ndarray, np.ndarray]:
         """Fan evaluation of a registered split across the workers.
@@ -432,7 +455,6 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     layout = engine._layout
     layout.bind_params(engine._params)
-    rng_modules = collect_rng_modules(engine.model)
     buffers = CollateBuffers()
     shard_lo, shard_hi = shard_bounds(engine.grad_shards, engine.workers)[worker_id]
     order_cache: dict[int, np.ndarray] = {}
@@ -461,7 +483,7 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
                 with default_dtype(engine.dtype):
                     if cmd == _CMD_TRAIN:
                         _worker_train(
-                            engine, rng_modules, buffers, order_cache,
+                            engine, buffers, order_cache,
                             shard_lo, shard_hi,
                             epoch=int(ctrl[1]), batch_index=int(ctrl[2]), retry=int(ctrl[3]),
                         )
@@ -480,7 +502,6 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
 
 def _worker_train(
     engine: DataParallelEngine,
-    rng_modules: list,
     buffers: CollateBuffers,
     order_cache: dict,
     shard_lo: int,
@@ -491,8 +512,6 @@ def _worker_train(
     retry: int,
 ) -> None:
     """Compute this worker's shard range of one batch into the shm rows."""
-    from ..objectives import StepContext
-
     loader = engine.loader
     order = order_cache.get(epoch)
     if order is None:
@@ -506,35 +525,15 @@ def _worker_train(
     total_rows = len(idx)
     bounds = shard_bounds(total_rows, engine.grad_shards)
     dims = loader.subset_dims(idx)
-    model = engine.model
-    model.train()
-    layout = engine._layout
-    names = engine._component_names
+    engine.model.train()
     for s in range(shard_lo, shard_hi):
         lo, hi = bounds[s]
-        if lo == hi:
-            engine._grads[s].fill(0)
-            engine._losses[s] = 0.0
-            engine._components[s].fill(0)
-            continue
         # Collate only this shard's rows, padded to the full batch's
         # dimensions — bit-identical to slicing the whole collated batch.
-        shard = loader.collate_indices(idx[lo:hi], pad_to=dims, buffers=buffers)
-        for p in layout.parameters:
-            p.zero_grad()
-        ctx = StepContext(
-            seed=engine.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry
+        shard = loader.collate_indices(idx[lo:hi], pad_to=dims, buffers=buffers) if lo < hi else None
+        engine._run_shard(
+            s, shard, total=total_rows, epoch=epoch, batch_index=batch_index, retry=retry
         )
-        generator = shard_generator(engine.seed, epoch, batch_index, s, retry)
-        with shard_rng(rng_modules, generator):
-            engine.objective.begin_step(ctx)
-            parts = engine.objective.compute(model, shard, total=total_rows)
-            engine._losses[s] = float(parts.loss.item())
-            parts.loss.backward()
-            values = parts.component_values()
-            for j, name in enumerate(names):
-                engine._components[s, j] = values.get(name, 0.0)
-        layout.write_grads(engine._grads[s])
 
 
 def _worker_eval(

@@ -20,8 +20,8 @@ Under that contract the result depends only on ``(seed, G)``: one process
 computing shards ``0..G-1`` sequentially and N workers computing disjoint
 shard ranges produce bit-identical parameters, which is what
 ``tests/parallel/test_parity.py`` asserts and ``docs/performance.md``
-documents. ``G = 1`` degenerates to exactly the classic single-process
-whole-batch step.
+documents. ``G = 1`` is the same grid with one shard: every training
+step, single-process or not, runs under this contract.
 """
 
 from __future__ import annotations
@@ -96,9 +96,9 @@ def shard_generator(
 ) -> np.random.Generator:
     """The dropout stream of one shard of one batch — pure in its arguments.
 
-    Watchdog retries pass ``retry`` so a rolled-back batch redraws fresh
-    masks (matching the classic path, where a retry consumes further along
-    the model stream), while resumed runs replay identical masks.
+    It is the only stream a training forward draws from. Watchdog retries
+    pass ``retry`` so a rolled-back batch redraws fresh masks, while
+    resumed runs replay identical masks with no generator state saved.
     """
     return np.random.default_rng(
         (_SHARD_STREAM_TAG, int(seed) & 0xFFFFFFFF, epoch, batch_index, shard, retry)
@@ -119,8 +119,8 @@ def shard_rng(rng_modules: Sequence, generator: np.random.Generator) -> Iterator
     """Temporarily point every RNG-bearing module at one shard generator.
 
     All modules share the single ``generator`` (mirroring how builders hand
-    one stream to every layer), and the originals are restored afterwards
-    so checkpointed model-RNG state stays meaningful.
+    one stream to every layer). The originals are restored afterwards, so
+    a module's own stream serves only forwards outside a training step.
     """
     originals = [(module, module.rng) for module in rng_modules]
     for module in rng_modules:

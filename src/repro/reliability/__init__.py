@@ -45,10 +45,10 @@ from .failpoints import (
     stats,
 )
 from .state import (
+    TRAINING_STATE_FORMAT_VERSION,
     TrainingState,
-    capture_rng_states,
+    TrainingStateError,
     load_training_state,
-    restore_rng_states,
     save_training_state,
 )
 from .watchdog import DivergenceError, DivergenceWatchdog
@@ -75,10 +75,10 @@ __all__ = [
     "raising",
     "sleeping",
     "stats",
+    "TRAINING_STATE_FORMAT_VERSION",
     "TrainingState",
-    "capture_rng_states",
+    "TrainingStateError",
     "load_training_state",
-    "restore_rng_states",
     "save_training_state",
     "DivergenceError",
     "DivergenceWatchdog",

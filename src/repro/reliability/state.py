@@ -1,20 +1,21 @@
 """Full-fidelity training state: everything a bit-identical resume needs.
 
 A resumable run must capture more than model weights — Adam's moment
-estimates, the LR schedule position, the epoch/batch cursor, the shuffle
-epoch of the :class:`~repro.data.dataset.DataLoader`, and the state of
-every ``np.random.Generator`` the model consults during forward passes
-(dropout masks!). :class:`TrainingState` bundles all of it;
-:func:`save_training_state` / :func:`load_training_state` round-trip it
-through a single atomically-written ``.npz`` archive.
+estimates, the LR schedule position, the epoch/batch cursor and the
+shuffle epoch of the :class:`~repro.data.dataset.DataLoader`. Dropout
+needs nothing: every training forward draws from a stream pure in
+``(seed, epoch, batch, shard, retry)``. :class:`TrainingState` bundles
+all of it; :func:`save_training_state` / :func:`load_training_state`
+round-trip it through a single atomically-written ``.npz`` archive.
 
 Layout inside the archive: arrays live under reserved key prefixes
 (``model/``, ``best/``, and ``opt/<field>/<i>`` for the optimizer's
 per-parameter array lists); every scalar/structured field rides in one
-JSON document under the ``__meta__`` key. RNG states are JSON-able
-because numpy bit generators expose their state as plain dicts (PCG64's
-128-bit integers serialize losslessly through Python's arbitrary-precision
-JSON ints).
+JSON document under the ``__meta__`` key, stamped with
+:data:`TRAINING_STATE_FORMAT_VERSION`. A state of any other version is
+refused with :class:`TrainingStateError`: version 1 (unstamped) states
+trained ``grad_shards = 1`` on persistent dropout streams, which no
+longer exist, so they cannot resume bit-identically.
 """
 
 from __future__ import annotations
@@ -28,14 +29,19 @@ import numpy as np
 from .atomic import atomic_save_npz
 
 __all__ = [
+    "TRAINING_STATE_FORMAT_VERSION",
     "TrainingState",
+    "TrainingStateError",
     "save_training_state",
     "load_training_state",
-    "capture_rng_states",
-    "restore_rng_states",
 ]
 
 _META_KEY = "__meta__"
+TRAINING_STATE_FORMAT_VERSION = 2
+
+
+class TrainingStateError(ValueError):
+    """The file is not a training state this build can resume."""
 
 
 @dataclass
@@ -54,7 +60,6 @@ class TrainingState:
     optimizer_state: dict
     scheduler_state: dict
     loader_state: dict
-    rng_states: dict[str, dict]
     best_metric: float
     best_state: dict[str, np.ndarray] | None
     stale: int
@@ -111,13 +116,13 @@ def save_training_state(path: str | pathlib.Path, state: TrainingState) -> pathl
             optimizer_meta[key] = _json_safe(value)
 
     meta = {
+        "format_version": TRAINING_STATE_FORMAT_VERSION,
         "epoch": state.epoch,
         "batch_index": state.batch_index,
         "global_step": state.global_step,
         "optimizer": optimizer_meta,
         "scheduler": _json_safe(state.scheduler_state),
         "loader": _json_safe(state.loader_state),
-        "rng_states": _json_safe(state.rng_states),
         "best_metric": state.best_metric,
         "has_best": state.best_state is not None,
         "stale": state.stale,
@@ -132,12 +137,26 @@ def save_training_state(path: str | pathlib.Path, state: TrainingState) -> pathl
 
 
 def load_training_state(path: str | pathlib.Path) -> TrainingState:
-    """Load a state written by :func:`save_training_state`."""
-    with np.load(pathlib.Path(path)) as archive:
-        data = {name: archive[name] for name in archive.files}
+    """Load a state written by :func:`save_training_state`.
+
+    Raises :class:`TrainingStateError` for a file that is not a training
+    state (a model artifact, say) or one of another format version.
+    """
+    try:
+        with np.load(pathlib.Path(path)) as archive:
+            data = {name: archive[name] for name in archive.files}
+    except (OSError, ValueError) as error:
+        raise TrainingStateError(f"{path} is not a training-state archive ({error})") from None
     if _META_KEY not in data:
-        raise ValueError(f"{path} is not a training-state archive (missing {_META_KEY})")
+        raise TrainingStateError(f"{path} is not a training-state archive (missing {_META_KEY})")
     meta = json.loads(data.pop(_META_KEY).tobytes().decode())
+    version = meta.get("format_version", 1)
+    if version != TRAINING_STATE_FORMAT_VERSION:
+        raise TrainingStateError(
+            f"{path} is training-state format v{version}; this build reads "
+            f"v{TRAINING_STATE_FORMAT_VERSION} only, so the run cannot resume "
+            "(retrain from scratch)"
+        )
 
     model_state = {k[len("model/") :]: v for k, v in data.items() if k.startswith("model/")}
     best_state = (
@@ -160,42 +179,12 @@ def load_training_state(path: str | pathlib.Path) -> TrainingState:
         optimizer_state=optimizer_state,
         scheduler_state=_json_restore(meta["scheduler"]),
         loader_state=_json_restore(meta["loader"]),
-        rng_states=_json_restore(meta["rng_states"]),
         best_metric=float(meta["best_metric"]),
         best_state=best_state,
         stale=int(meta["stale"]),
         history=_json_restore(meta["history"]),
         epoch_losses=[float(x) for x in meta["epoch_losses"]],
-        # Absent in pre-objective archives: restore as empty.
-        epoch_components=_json_restore(meta.get("epoch_components", [])),
+        epoch_components=_json_restore(meta["epoch_components"]),
         config=_json_restore(meta["config"]),
-        spec=_json_restore(meta.get("spec")),
+        spec=_json_restore(meta["spec"]),
     )
-
-
-# ---------------------------------------------------------------- RNG capture
-def capture_rng_states(model) -> dict[str, dict]:
-    """Bit-generator states of every ``rng`` a module tree holds.
-
-    Dropout layers (and any module with an ``rng`` attribute) consume
-    randomness during *training forwards*, so replaying batches after a
-    resume only matches the uninterrupted run if these streams restart
-    from the captured position. Modules sharing one generator are each
-    recorded (and later restored to the same state), which is idempotent.
-    """
-    states: dict[str, dict] = {}
-    for path, module in model.named_modules():
-        rng = getattr(module, "rng", None)
-        if isinstance(rng, np.random.Generator):
-            states[path] = rng.bit_generator.state
-    return states
-
-
-def restore_rng_states(model, states: dict[str, dict]) -> None:
-    """Restore generator states captured by :func:`capture_rng_states`."""
-    modules = dict(model.named_modules())
-    for path, state in states.items():
-        module = modules.get(path)
-        rng = getattr(module, "rng", None) if module is not None else None
-        if isinstance(rng, np.random.Generator):
-            rng.bit_generator.state = state

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.deploy import (
@@ -12,8 +13,10 @@ from repro.deploy import (
     OnlineTrainer,
     param_hash,
 )
+from repro import reliability as rel
 from repro.artifacts import load_artifact
 from repro.eval.trainer import NeuralRecommender
+from repro.reliability import DivergenceError
 from repro.serve import RecommenderService
 
 
@@ -27,6 +30,11 @@ def make_trainer(base, tmp_path, **kwargs):
     store = DeploymentStore(tmp_path / "deploy")
     kwargs.setdefault("min_examples", 4)
     return OnlineTrainer(base, buffer, store, **kwargs), buffer, store
+
+
+def poison_loss(loss):
+    """Failpoint action: corrupt the in-flight loss to NaN."""
+    loss.data = np.full_like(loss.data, np.nan)
 
 
 def feed_sessions(buffer, n_sessions=8, steps=5):
@@ -97,6 +105,19 @@ class TestSnapshot:
             feed_sessions(buffer)
             hashes.append(param_hash(load_artifact(trainer.snapshot()).weights))
         assert hashes[0] == hashes[1]
+
+    def test_diverging_snapshot_is_refused(self, base, tmp_path):
+        """The online step is the offline one: a NaN loss on every batch
+        exhausts the watchdog, so the snapshot raises and ships nothing."""
+        trainer, buffer, store = make_trainer(base, tmp_path)
+        feed_sessions(buffer)
+        rel.arm("trainer.loss", poison_loss)  # every step, forever
+        with pytest.raises(DivergenceError, match="epoch 0, batch 0"):
+            trainer.snapshot()
+        assert rel.stats("trainer.loss")[1] > 0  # the poison fired
+        assert store.lineage() == []
+        assert not list(store.directory.glob("*.npz"))
+        assert trainer.snapshots_emitted == 0
 
     def test_successive_snapshots_chain_parents(self, base, tmp_path):
         trainer, buffer, store = make_trainer(base, tmp_path, base_version=1)

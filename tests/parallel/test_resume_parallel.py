@@ -13,7 +13,7 @@ import pytest
 from repro import reliability as rel
 from repro.core import EMBSRConfig, build_sgnn_self
 from repro.eval import TrainConfig, Trainer
-from repro.reliability import load_training_state, save_training_state
+from repro.reliability import load_training_state
 
 TRAIN = dict(epochs=3, lr=0.01, seed=1)
 
@@ -110,32 +110,3 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="config mismatch") as excinfo:
             Trainer(new_model(dataset), drifted).resume(dataset, state_path)
         assert "grad_shards" in str(excinfo.value)
-
-    def test_legacy_checkpoint_without_grid_key_means_classic(self, dataset, tmp_path):
-        """Checkpoints from before the parallel engine carry no grad_shards
-        entry; they must resume on the classic whole-batch path."""
-        state_path = tmp_path / "state.npz"
-        legacy_path = tmp_path / "legacy.npz"
-        cfg = TrainConfig(
-            epochs=1, lr=0.01, seed=1, checkpoint_path=str(state_path),
-            checkpoint_every=1,
-        )
-        trainer = Trainer(new_model(dataset), cfg)
-        rel.arm("trainer.after_batch", rel.crashing(), skip=2)
-        with pytest.raises(rel.SimulatedCrash):
-            trainer.fit(dataset)
-        rel.disarm("trainer.after_batch")
-
-        state = load_training_state(state_path)
-        state.config.pop("grad_shards")
-        state.config.pop("workers")
-        save_training_state(legacy_path, state)
-
-        resumed = Trainer(new_model(dataset), TrainConfig(epochs=1, lr=0.01, seed=1))
-        resumed.resume(dataset, legacy_path)
-
-        uninterrupted = Trainer(new_model(dataset), TrainConfig(epochs=1, lr=0.01, seed=1))
-        uninterrupted.fit(dataset)
-        assert_same_params(
-            uninterrupted.model.state_dict(), resumed.model.state_dict()
-        )

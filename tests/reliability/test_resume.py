@@ -1,12 +1,18 @@
 """Crash-safe training: kill the process mid-run, resume bit-identically."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro import reliability as rel
 from repro.core import EMBSRConfig, build_sgnn_self
 from repro.eval import TrainConfig, Trainer
-from repro.reliability import load_training_state, save_training_state
+from repro.reliability import (
+    TRAINING_STATE_FORMAT_VERSION,
+    TrainingStateError,
+    load_training_state,
+)
 
 TRAIN = dict(epochs=3, lr=0.01, seed=1)
 
@@ -20,6 +26,30 @@ def new_model(dataset):
 
 def batches_per_epoch(dataset, batch_size=64):
     return (len(dataset.train) + batch_size - 1) // batch_size
+
+
+def rewrite_meta(path, edit):
+    """Apply ``edit`` to the JSON metadata of a state archive in place."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    meta = json.loads(arrays["__meta__"].tobytes().decode())
+    edit(meta)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def _drop_objective(meta):
+    del meta["config"]["objective"], meta["config"]["cl_weight"], meta["epoch_components"]
+
+
+# What states written before the format stamp carried, by vintage; each
+# also lacks ``format_version``.
+OLDER_FORMATS = {
+    "unversioned": lambda meta: None,
+    "rng_states": lambda meta: meta.update(rng_states={"dropout": {"bit_generator": "PCG64"}}),
+    "bucket_lengths": lambda meta: meta["config"].update(bucket_lengths=True),
+    "pre_objective": _drop_objective,
+}
 
 
 def assert_same_params(a, b):
@@ -106,16 +136,6 @@ class TestStateFile:
         assert state.best_state is not None
         assert state.config["seed"] == 1
 
-    def test_rng_streams_are_captured(self, dataset, tmp_path):
-        """Dropout generators must ride along or replayed batches drift."""
-        state_path = tmp_path / "train_state.npz"
-        cfg = TrainConfig(epochs=1, lr=0.01, seed=1, checkpoint_path=str(state_path))
-        Trainer(new_model(dataset), cfg).fit(dataset)
-        state = load_training_state(state_path)
-        assert state.rng_states, "expected at least one captured rng stream"
-        for stream in state.rng_states.values():
-            assert "state" in stream  # a BitGenerator state dict
-
     def test_corrupt_archive_is_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.npz"
         np.savez(bogus, junk=np.zeros(3))
@@ -134,48 +154,25 @@ class TestResumeValidation:
             Trainer(new_model(dataset), drifted).resume(dataset, state_path)
         assert "lr" in str(excinfo.value) and "seed" in str(excinfo.value)
 
-    @pytest.mark.parametrize("stamp", [True, False, None])
-    def test_removed_bucket_lengths_option(self, dataset, tmp_path, stamp):
-        """States written while ``bucket_lengths`` existed: one that used the
-        ladder cannot be resumed (its padding is gone); ``False`` and states
-        that predate the key resume as before."""
+    @pytest.mark.parametrize("vintage", sorted(OLDER_FORMATS))
+    def test_older_format_state_is_refused(self, vintage, dataset, tmp_path):
+        """States from before the format stamp trained ``grad_shards = 1`` on
+        persistent dropout streams that no longer exist: whatever else they
+        carry, resume refuses them with both versions named."""
         state_path = tmp_path / "train_state.npz"
         cfg = TrainConfig(epochs=1, lr=0.01, seed=1, checkpoint_path=str(state_path))
         Trainer(new_model(dataset), cfg).fit(dataset)
-        state = load_training_state(state_path)
-        assert "bucket_lengths" not in state.config and "compile" not in state.config
-        if stamp is not None:
-            state.config.update(bucket_lengths=stamp, compile=True)
-            save_training_state(state_path, state)
+        def vintage_meta(meta):
+            del meta["format_version"]
+            OLDER_FORMATS[vintage](meta)
+
+        rewrite_meta(state_path, vintage_meta)
 
         trainer = Trainer(new_model(dataset), cfg)
-        if stamp:
-            with pytest.raises(ValueError, match="cannot resume from .*bucket_lengths"):
-                trainer.resume(dataset, state_path)
-        else:
+        current = f"v{TRAINING_STATE_FORMAT_VERSION}"
+        with pytest.raises(TrainingStateError, match=f"format v1; this build reads {current}"):
             trainer.resume(dataset, state_path)
-            assert len(trainer.history) == 1
-
-    def test_removed_packed_prefetch_keys_resume_bit_identically(self, dataset, tmp_path):
-        """States written while ``packed``/``prefetch`` existed carry them in
-        their config; those options never changed a batch, so a mid-epoch
-        state resumes to the uninterrupted run's parameters."""
-        state_path = tmp_path / "train_state.npz"
-        reliable = TrainConfig(**TRAIN, checkpoint_path=str(state_path), checkpoint_every=1)
-        crashed = Trainer(new_model(dataset), reliable)
-        rel.arm("trainer.after_batch", rel.crashing(), skip=2)
-        with pytest.raises(rel.SimulatedCrash):
-            crashed.fit(dataset)
-        rel.disarm("trainer.after_batch")
-        state = load_training_state(state_path)
-        assert "packed" not in state.config and "prefetch" not in state.config
-        state.config.update(packed=True, prefetch=True)
-        save_training_state(state_path, state)
-
-        resumed = Trainer(new_model(dataset), reliable)
-        resumed.resume(dataset, state_path)
-        baseline = Trainer(new_model(dataset), TrainConfig(**TRAIN)).fit(dataset)
-        assert_same_params(baseline.model.state_dict(), resumed.model.state_dict())
+        assert trainer.history == []
 
     def test_extending_epochs_is_allowed(self, dataset, tmp_path):
         """epochs is deliberately non-critical: a finished run can continue."""

@@ -64,29 +64,6 @@ class TestObjectiveMismatchRefusal:
         with pytest.raises(ValueError, match="cl_weight"):
             other.resume(dataset, state_path)
 
-    def test_pre_objective_checkpoints_default_to_ce(self, dataset, tmp_path):
-        """Archives written before the objective seam carry no objective
-        fields; they must resume as plain cross-entropy, not error."""
-        state_path = tmp_path / "train_state.npz"
-        cfg = TrainConfig(
-            epochs=2, lr=0.01, seed=1, checkpoint_path=str(state_path), checkpoint_every=1
-        )
-        trainer = Trainer(new_model(dataset), cfg)
-        rel.arm("trainer.after_batch", rel.crashing(), skip=2)
-        with pytest.raises(rel.SimulatedCrash):
-            trainer.fit(dataset)
-        rel.disarm("trainer.after_batch")
-
-        # Simulate an old archive by dropping the objective keys.
-        state = load_training_state(state_path)
-        state.config.pop("objective", None)
-        state.config.pop("cl_weight", None)
-        from repro.reliability import save_training_state
-
-        save_training_state(state_path, state)
-        resumed = Trainer(new_model(dataset), cfg)
-        resumed.resume(dataset, state_path)  # must not raise
-
 
 class TestComponentRoundTrip:
     def test_components_survive_the_state_archive(self, dataset, tmp_path):

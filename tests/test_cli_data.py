@@ -1,11 +1,12 @@
 """CLI surface of the packed data pipeline: ``repro data pack/inspect``
 and training from ``.rpk`` files."""
 
-
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data.packed import is_packed_file, load_packed, packed_fingerprint
+
+from .reliability.test_resume import rewrite_meta
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +92,56 @@ class TestTrain:
             "train", "--dataset", str(packed_path), "--model", "SKNN",
         ]) == 0
         assert "SKNN" in capsys.readouterr().out
+
+
+    def test_evaluate_artifact_against_packed_dataset(self, artifacts, tmp_path, capsys):
+        """``evaluate --artifact`` sniffs a ``.rpk`` dataset like ``train`` does."""
+        _, _, _, packed_path = artifacts
+        artifact = tmp_path / "model.npz"
+        assert main([
+            "train", "--dataset", str(packed_path), "--model", "STAMP", "--dim", "8",
+            "--epochs", "1", "--artifact", str(artifact),
+        ]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--dataset", str(packed_path), "--artifact", str(artifact)]) == 0
+        out = capsys.readouterr().out
+        assert "loaded STAMP" in out and "M@20" in out
+
+
+class TestResumeWrongFile:
+    """``train --resume`` with a file that is not a current training state
+    is one stderr line and exit 1, never a traceback."""
+
+    def _train(self, packed_path, *extra):
+        return main([
+            "train", "--dataset", str(packed_path), "--model", "STAMP", "--dim", "8",
+            "--epochs", "1", *extra,
+        ])
+
+    def test_artifact_is_not_a_state(self, artifacts, tmp_path, capsys):
+        _, _, _, packed_path = artifacts
+        artifact = tmp_path / "model.npz"
+        assert self._train(packed_path, "--artifact", str(artifact)) == 0
+        capsys.readouterr()
+        before = artifact.read_bytes()
+        assert self._train(packed_path, "--resume", str(artifact)) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(artifact) in err and "not a training-state archive" in err
+        assert artifact.read_bytes() == before  # the refused file is untouched
+
+    def test_older_format_names_both_versions(self, artifacts, tmp_path, capsys):
+        from repro.reliability import TRAINING_STATE_FORMAT_VERSION
+
+        _, _, _, packed_path = artifacts
+        state = tmp_path / "state.npz"
+        assert self._train(packed_path, "--train-state", str(state)) == 0
+        capsys.readouterr()
+        rewrite_meta(state, lambda meta: meta.pop("format_version"))  # as before the stamp
+        assert self._train(packed_path, "--resume", str(state)) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"format v1; this build reads v{TRAINING_STATE_FORMAT_VERSION}" in err
 
 
 class TestWrongFileKind:
