@@ -168,6 +168,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _is_basic_index(index) -> bool:
+    """True when ``index`` selects a view: ints, slices, ``None``, ``Ellipsis``.
+
+    Such an index names each element at most once. ``bool`` is excluded:
+    NumPy reads it as a mask, an advanced index.
+    """
+    for item in index if isinstance(index, tuple) else (index,):
+        if item is None or item is Ellipsis or isinstance(item, slice):
+            continue
+        if isinstance(item, (int, np.integer)) and not isinstance(item, bool):
+            continue
+        return False
+    return True
+
+
 class Tensor:
     """A NumPy array with an attached gradient and differentiation graph.
 
@@ -713,9 +728,17 @@ class Tensor:
         if not (_GRAD_ENABLED.get() and self.requires_grad):
             return Tensor(out_data)
 
+        basic = _is_basic_index(index)
+
         def backward() -> None:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
+            if basic:
+                # A basic index repeats no element, so an in-place add into
+                # the view is ``np.add.at``'s sum: the same ``0.0 + g`` per
+                # element, which also turns a -0.0 gradient into +0.0.
+                grad[index] += out.grad
+            else:
+                np.add.at(grad, index, out.grad)
             self._accumulate(grad)
 
         out = Tensor._make(out_data, (self,), backward)

@@ -40,11 +40,10 @@ class Linear(Module):
 class Embedding(Module):
     """Lookup table mapping integer ids to ``dim``-vectors.
 
-    ``padding_idx`` rows are initialized to zero; their gradient is zeroed
-    after each backward pass by the optimizer step (see :class:`repro.nn.optim.Optimizer`)
-    only if the caller masks them — in practice every model here multiplies
-    padded positions by an explicit mask, so the padding row only ever
-    receives zero gradient contributions through masked paths.
+    The ``padding_idx`` row is initialized to zero and gets no gradient
+    from this lookup: the scatter skips its entries. Every model here also
+    multiplies padded positions by an explicit mask, so those entries'
+    contributions are exactly zero (``tests/nn/test_padding_grad.py``).
     """
 
     def __init__(self, num_embeddings: int, dim: int, *, rng: np.random.Generator, padding_idx: int | None = None):
@@ -58,7 +57,7 @@ class Embedding(Module):
         self.weight = Parameter(weight)
 
     def forward(self, indices: np.ndarray) -> Tensor:
-        return _fused.embedding_lookup(self.weight, indices)
+        return _fused.embedding_lookup(self.weight, indices, self.padding_idx)
 
 
 class LayerNorm(Module):

@@ -10,7 +10,8 @@ uses. Each kernel here replaces a whole composition with ONE graph node:
 ``gru_sequence``        a whole [B, T] GRU unroll (~20*T nodes -> 1)
 ``embedding_lookup``    gather with scatter-add backward into a buffer the
                         parameter reuses across steps (no fresh
-                        ``zeros(num_embeddings, dim)`` per step)
+                        ``zeros(num_embeddings, dim)`` per step), padding
+                        entries skipped
 ``relation_scores``     dyadic-attention score term ``q_i . e_{r_ij}``
                         without materializing [B, T, T, d]
 ``relation_values``     dyadic-attention value term
@@ -226,14 +227,23 @@ def _scatter_add_rows(buf: np.ndarray, indices: np.ndarray, g: np.ndarray) -> No
     buf += sums.reshape(rows, d)
 
 
-def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
-    """Row gather with a vectorized ``np.add.at`` scatter backward.
+def embedding_lookup(
+    weight: Tensor, indices: np.ndarray, padding_idx: int | None = None
+) -> Tensor:
+    """Row gather with a one-``bincount`` scatter backward.
 
     Unlike the generic ``Tensor.take`` backward (which allocates a fresh
     ``zeros(num_embeddings, dim)`` per lookup per step), the scatter target
     is a buffer cached on the parameter (``weight._grad_buffer``) and
     reused across steps — embedding tables are the largest tensors in
     every model here, so this is the single biggest allocation saved.
+
+    Entries equal to ``padding_idx`` are dropped before the scatter builds
+    its keys, so the padding row gets no gradient (PyTorch's contract).
+    Every model here masks padded positions, so those contributions were
+    exactly zero, and ``bincount`` sums the remaining keys in the same
+    order: every row keeps its bytes. Padding is 50-85 % of the indices
+    in a batch.
     """
     indices = np.asarray(indices, dtype=np.int64)
     out_data = np.take(weight.data, indices, axis=0)
@@ -258,7 +268,11 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         elif not weight._grad_owned:
             weight.grad = weight.grad.copy()
             weight._grad_owned = True
-        _scatter_add_rows(weight.grad, indices, g)
+        if padding_idx is None:
+            _scatter_add_rows(weight.grad, indices, g)
+        else:
+            keep = indices != padding_idx
+            _scatter_add_rows(weight.grad, indices[keep], g[keep])
 
     out = Tensor._make(out_data, (weight,), backward)
     return out

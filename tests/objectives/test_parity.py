@@ -77,7 +77,6 @@ class TestGoldenCrossEntropy:
     def test_embsr_matches_pre_refactor_golden(self, dataset, mode):
         assert digest(fit(dataset, "EMBSR", **MODES[mode])) == GOLDEN[("EMBSR", mode)]
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_narm_matches_pre_refactor_golden(self, dataset, mode):
         assert digest(fit(dataset, "NARM", **MODES[mode])) == GOLDEN[("NARM", mode)]
@@ -89,7 +88,6 @@ class TestGoldenFloat32:
         got = digest(fit(dataset, "EMBSR", dtype="float32", **MODES[mode]))
         assert got == GOLDEN_FLOAT32[("EMBSR", mode)]
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_narm_float32_golden(self, dataset, mode):
         got = digest(fit(dataset, "NARM", dtype="float32", **MODES[mode]))

@@ -314,6 +314,35 @@ def test_embedding_lookup_gradcheck_with_repeats():
     check_gradients(lambda w: perf.embedding_lookup(w, indices), [weight])
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("padding_idx", [0, 5])
+def test_embedding_lookup_padding_skip_keeps_bytes(dtype, padding_idx):
+    """Dropping the padding entries before the key build changes no byte.
+
+    Models multiply padded positions by a 0/1 mask, so the upstream rows
+    there are +0.0 or -0.0: against such a gradient the skipping scatter's
+    weight gradient is ``tobytes()``-equal to the unskipped one. Against an
+    unmasked gradient every other row keeps its bytes and the padding row
+    stays zero."""
+    rng = np.random.default_rng(13)
+    weight, seed = _arrays(rng, [(40, 8), (64, 10, 8)], dtype)
+    indices = rng.integers(0, 40, size=(64, 10))
+    indices[rng.random(indices.shape) < 0.6] = padding_idx
+    masked = seed * (indices != padding_idx)[..., None].astype(dtype)
+    assert np.signbit(masked[indices == padding_idx]).any()  # -0.0 present
+
+    def lookup(skip):
+        pad = padding_idx if skip else None
+        return lambda w: perf.embedding_lookup(w, indices, pad)
+
+    assert_same_bytes(_run(lookup(True), [weight], masked), _run(lookup(False), [weight], masked))
+    got = _run(lookup(True), [weight], seed)[1]
+    want = _run(lookup(False), [weight], seed)[1]
+    others = np.arange(len(weight)) != padding_idx
+    assert got[others].tobytes() == want[others].tobytes()
+    assert not got[padding_idx].any() and want[padding_idx].any()
+
+
 def test_embedding_grad_buffer_is_reused_across_steps():
     """The scatter target is cached on the parameter and reused."""
     rng = np.random.default_rng(10)
