@@ -76,7 +76,7 @@ def test_perf_operation_aware_attention(benchmark, rng):
     x = Tensor(rng.normal(size=(B, T, D)), requires_grad=True)
     ops = rng.integers(1, 11, size=(B, T))
     mask = np.ones((B, T))
-    weights = Tensor(rng.normal(size=(B, T, D)))
+    weights = Tensor(rng.normal(size=(B, D)))  # the block returns z_s only
 
     def step():
         attn.zero_grad()

@@ -5,6 +5,9 @@ value for position ``j`` when attended from position ``i`` are augmented
 with ``e_{r_ij}``, the embedding of the operation pair ``(o_i, o_j)``
 (analogous to relative-position representations, Shaw et al. 2018).
 
+Only the star token's row is computed: EMBSR's fusion (Eq. 18) reads
+``z_s`` and no other output of the block.
+
 Batching note: the paper appends the star token at the *end* of the
 sequence. With padded batches a trailing star would sit at a
 session-dependent index, so we place it at index 0 instead; this only
@@ -74,7 +77,11 @@ class OperationAwareSelfAttention(Module):
         seq_mask: np.ndarray,
         use_dyadic: bool = True,
     ) -> Tensor:
-        """Attend over a micro-behavior sequence.
+        """The star token's output ``z_s`` (Eqs. 14-17 at ``i = s``).
+
+        Only the star row is computed: Eq. 18 reads ``z_s`` and nothing
+        else, so the queries, scores, softmax, FFN and layer norm run on
+        row 0 while keys, values and position embeddings keep all T rows.
 
         Parameters
         ----------
@@ -86,37 +93,37 @@ class OperationAwareSelfAttention(Module):
         seq_mask:
             [B, T] validity mask.
         use_dyadic:
-            Include ``e_{r_ij}`` terms (Eq. 14/16); off for the
+            Include ``e_{r_sj}`` terms (Eq. 14/16); off for the
             ``absolute``/plain variants.
 
         Returns
         -------
         Tensor
-            [B, T, d] outputs ``z``; the session-level ``z_s`` is row 0.
+            [B, d] session-level output ``z_s``.
         """
         B, T, d = x.shape
         scale = 1.0 / np.sqrt(d)
 
         pos = self.positions(np.broadcast_to(np.arange(T), (B, T)))  # [B, T, d]
         keys = x + pos  # x_j + e_{p_j}
-        q = self.w_q(x)  # [B, T, d]
+        q = self.w_q(x[:, :1])  # [B, 1, d]: the star's query
 
-        # Content/position part of e_ij (Eq. 16): q_i . (x_j + p_j)
-        scores = (q @ keys.swapaxes(-1, -2)) * scale  # [B, T, T]
+        # Content/position part of e_sj (Eq. 16): q_s . (x_j + p_j)
+        scores = (q @ keys.swapaxes(-1, -2)) * scale  # [B, 1, T]
         if use_dyadic:
-            rel_ids = relation_ids(seq_ops, seq_ops, self.num_ops)  # [B, T, T]
+            rel_ids = relation_ids(seq_ops[:, :1], seq_ops, self.num_ops)  # [B, 1, T]
             # Gather-free Shaw-style kernel: never materializes the
-            # [B, T, T, d] relation tensor (see repro.perf.fused).
+            # [B, 1, T, d] relation tensor (see repro.perf.fused).
             scores = scores + _fused.relation_scores(q, self.relations.weight, rel_ids) * scale
 
-        bias = np.where(seq_mask.astype(bool)[:, None, :], 0.0, _NEG_INF)
-        alpha = (scores + Tensor(np.broadcast_to(bias, (B, T, T)).copy())).softmax(axis=-1)
+        bias = np.where(seq_mask.astype(bool)[:, None, :], 0.0, _NEG_INF)  # [B, 1, T]
+        alpha = (scores + Tensor(bias)).softmax(axis=-1)
 
-        # Value side (Eq. 14): sum_j alpha_ij (x_j + e_{r_ij} + e_{p_j})
+        # Value side (Eq. 14): sum_j alpha_sj (x_j + e_{r_sj} + e_{p_j})
         z = alpha @ keys
         if use_dyadic:
             z = z + _fused.relation_values(alpha, self.relations.weight, rel_ids)
+        z = z.reshape(B, d)
 
         # Post block (paper: FFN + residual + layer norm + dropout).
-        z = self.norm(z + self.dropout(self.ffn(z)))
-        return z
+        return self.norm(z + self.dropout(self.ffn(z)))

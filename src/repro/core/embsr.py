@@ -218,10 +218,9 @@ class EMBSR(Module):
             full_x = concat([x_star.unsqueeze(1), x_seq], axis=1)  # star at idx 0
             full_ops = np.concatenate([batch.last_op[:, None], seq_ops], axis=1)
             full_mask = np.concatenate([np.ones((B, 1)), seq_mask], axis=1)
-            z = self.attention(
+            z_s = self.attention(
                 full_x, full_ops, full_mask, use_dyadic=cfg.attention == "dyadic"
             )
-            z_s = z[:, 0, :]
         else:
             # EMBSR-NS: sequential patterns only; the star vector itself is
             # the global preference.

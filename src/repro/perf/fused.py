@@ -13,7 +13,7 @@ uses. Each kernel here replaces a whole composition with ONE graph node:
                         ``zeros(num_embeddings, dim)`` per step), padding
                         entries skipped
 ``relation_scores``     dyadic-attention score term ``q_i . e_{r_ij}``
-                        without materializing [B, T, T, d]
+                        without materializing [B, Tq, Tk, d]
 ``relation_values``     dyadic-attention value term
                         ``sum_j alpha_ij e_{r_ij}``, same trick
 ``log_softmax_nll``     log-softmax + NLL loss (softmax cross-entropy)
@@ -240,7 +240,7 @@ def embedding_lookup(
 
     Entries equal to ``padding_idx`` are dropped before the scatter builds
     its keys, so the padding row gets no gradient (PyTorch's contract).
-    Every model here masks padded positions, so those contributions were
+    Every model here masks padded positions, so those contributions are
     exactly zero, and ``bincount`` sums the remaining keys in the same
     order: every row keeps its bytes. Padding is 50-85 % of the indices
     in a batch.
@@ -282,37 +282,38 @@ def embedding_lookup(
 # Dyadic relation attention (Shaw-style gather-free rewrite)
 # ----------------------------------------------------------------------
 def _scatter_relations(values: np.ndarray, rel_ids: np.ndarray, R: int) -> np.ndarray:
-    """Sum [B, T, T] ``values`` into [B, T, R] buckets keyed by ``rel_ids``.
+    """Sum [B, Tq, Tk] ``values`` into [B, Tq, R] buckets keyed by ``rel_ids``.
 
     One vectorized ``bincount`` over flattened (b, i, r) keys — the scalar
-    analogue of the [B, T, T, d] embedding scatter it replaces.
+    analogue of the [B, Tq, Tk, d] embedding scatter it replaces.
     """
-    B, T, _ = values.shape
-    flat_keys = (np.arange(B * T)[:, None] * R + rel_ids.reshape(B * T, T)).ravel()
-    out = np.bincount(flat_keys, weights=values.ravel(), minlength=B * T * R)
-    return out.reshape(B, T, R).astype(values.dtype, copy=False)
+    B, Tq, Tk = values.shape
+    flat_keys = (np.arange(B * Tq)[:, None] * R + rel_ids.reshape(B * Tq, Tk)).ravel()
+    out = np.bincount(flat_keys, weights=values.ravel(), minlength=B * Tq * R)
+    return out.reshape(B, Tq, R).astype(values.dtype, copy=False)
 
 
 def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
     """``out[b,i,j] = q[b,i] . table[rel_ids[b,i,j]]`` as one node.
 
-    The naive composition gathers a [B, T, T, d] tensor of relation
-    embeddings and reduces it against ``q``; since the relation vocabulary
-    ``R`` is tiny ((num_ops+1)^2), it is far cheaper to project ``q`` onto
-    ALL relations at once (``q @ table.T`` -> [B, T, R]) and gather
-    scalars. Same math, different summation order — parity with the
+    ``q`` is [B, Tq, d] and ``rel_ids`` [B, Tq, Tk]: EMBSR's attention
+    passes the star row alone (Tq = 1) against all Tk keys. The naive
+    composition gathers a [B, Tq, Tk, d] tensor of relation embeddings and
+    reduces it against ``q``; since the relation vocabulary ``R`` is tiny
+    ((num_ops+1)^2), it is far cheaper to project ``q`` onto ALL relations
+    at once (``q @ table.T`` -> [B, Tq, R]) and gather scalars. Same math, different summation order — parity with the
     composed version holds to roundoff, not bit-exactly.
     """
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
-    projected = np.matmul(q.data, table.data.T)  # [B, T, R]
+    projected = np.matmul(q.data, table.data.T)  # [B, Tq, R]
     out_data = np.take_along_axis(projected, rel_ids, axis=2)
     if not _tracking(q, table):
         return Tensor(out_data)
 
     def backward() -> None:
         q_data = q.data
-        d_projected = _scatter_relations(out.grad, rel_ids, R)  # [B, T, R]
+        d_projected = _scatter_relations(out.grad, rel_ids, R)  # [B, Tq, R]
         if q.requires_grad:
             q._accumulate(np.matmul(d_projected, table.data))
         if table.requires_grad:
@@ -326,22 +327,23 @@ def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
 def relation_values(alpha: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
     """``out[b,i] = sum_j alpha[b,i,j] * table[rel_ids[b,i,j]]`` as one node.
 
-    Buckets the attention weights by relation id ([B, T, R] via bincount)
-    and hits the tiny relation table with one matmul — no [B, T, T, d]
-    gather, no giant broadcast multiply, and the backward scatters scalars
-    instead of d-vectors.
+    ``alpha`` and ``rel_ids`` are [B, Tq, Tk]. Buckets the attention
+    weights by relation id ([B, Tq, R] via bincount) and hits the tiny
+    relation table with one matmul — no [B, Tq, Tk, d] gather, no giant
+    broadcast multiply, and the backward scatters scalars instead of
+    d-vectors.
     """
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
-    bucketed = _scatter_relations(alpha.data, rel_ids, R)  # [B, T, R]
-    out_data = np.matmul(bucketed, table.data)  # [B, T, d]
+    bucketed = _scatter_relations(alpha.data, rel_ids, R)  # [B, Tq, R]
+    out_data = np.matmul(bucketed, table.data)  # [B, Tq, d]
     if not _tracking(alpha, table):
         return Tensor(out_data)
 
     def backward() -> None:
-        g = out.grad  # [B, T, d]
+        g = out.grad  # [B, Tq, d]
         if alpha.requires_grad:
-            d_bucketed = np.matmul(g, table.data.T)  # [B, T, R]
+            d_bucketed = np.matmul(g, table.data.T)  # [B, Tq, R]
             alpha._accumulate(np.take_along_axis(d_bucketed, rel_ids, axis=2))
         if table.requires_grad:
             table._accumulate(bucketed.reshape(-1, R).T @ g.reshape(-1, g.shape[-1]))

@@ -39,7 +39,7 @@ class TestMasking:
             mask[0, :3] = 1
             mask[1] = 1
             batched = attn(Tensor(x_batch), ops_batch, mask).data
-        np.testing.assert_allclose(alone[0, :3], batched[0, :3], atol=1e-10)
+        np.testing.assert_allclose(alone[0], batched[0], atol=1e-10)
 
     def test_gradient_blocked_at_padding(self, attn):
         rng = np.random.default_rng(1)
@@ -49,20 +49,19 @@ class TestMasking:
         out = attn(x, ops, mask)
         # A plain .sum() over a LayerNorm output is constant (zero grad);
         # weight the entries randomly to get a non-degenerate loss.
-        weights = Tensor(rng.normal(size=(1, 2, 6)))
-        (out[:, :2, :] * weights).sum().backward()
+        weights = Tensor(rng.normal(size=(1, 6)))
+        (out * weights).sum().backward()
         # Valid positions receive gradient...
         assert np.abs(x.grad[0, :2]).sum() > 0
-        # ...while padded KEY positions contribute nothing to valid outputs.
-        # (Their rows may still get gradient via their own outputs, which we
-        # excluded from the loss above.)
-        assert np.allclose(x.grad[0, 2:], 0.0)
+        # ...while padded KEY positions get exactly none: the star row is
+        # the only output, and it gives them zero attention weight.
+        assert not x.grad[0, 2:].any()
 
     def test_relation_pad_row_never_trained_through_valid_paths(self, attn):
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(1, 3, 6)), requires_grad=True)
         ops = np.array([[1, 2, 3]])
-        weights = Tensor(rng.normal(size=(1, 3, 6)))
+        weights = Tensor(rng.normal(size=(1, 6)))
         (attn(x, ops, np.ones((1, 3))) * weights).sum().backward()
         # Relation id 0 is the pad-pad dyad; with all-valid ops it is unused.
         assert np.allclose(attn.relations.weight.grad[0], 0.0)

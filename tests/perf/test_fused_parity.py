@@ -15,8 +15,10 @@ its kernel, not a hoped-for one:
   retired one-step ``gru_cell`` kernel.
 * Roundoff only: ``addmm`` on 3-D input (the weight gradient; the kernel
   does one GEMM over the flattened rows), the composed GRU layer loop (its
-  forward is bit-equal, its five gradients are not), and the two relation
-  kernels, which reorder sums by design.
+  forward is bit-equal, its five gradients are not), the two relation
+  kernels, which reorder sums by design (square and one-query-row
+  shapes), and ``OperationAwareSelfAttention``, which computes only the
+  star row, against row 0 of the full-row block.
 
 ``tobytes()`` and not ``array_equal``, which calls -0.0 and +0.0 equal.
 Gradchecks run in float64 only: float32 rounding drowns the difference
@@ -29,6 +31,7 @@ import pytest
 from repro import nn, perf
 from repro.autograd import Tensor, check_gradients, default_dtype, stack
 from repro.autograd.tensor import _stable_sigmoid
+from repro.core import OperationAwareSelfAttention, relation_ids
 from repro.perf.fused import _tracking
 
 DTYPES = [np.float32, np.float64]
@@ -374,9 +377,9 @@ def test_embedding_borrowed_grad_not_mutated_by_scatter():
 REL_TOL = {np.float32: dict(rtol=2e-4, atol=1e-5), np.float64: dict(rtol=1e-9, atol=1e-11)}
 
 
-def _rel_arrays(rng, B, T, R, d, dtype):
-    q, alpha, table = _arrays(rng, [(B, T, d), (B, T, T), (R, d)], dtype)
-    rel_ids = rng.integers(0, R, size=(B, T, T))
+def _rel_arrays(rng, B, Tq, Tk, R, d, dtype):
+    q, alpha, table = _arrays(rng, [(B, Tq, d), (B, Tq, Tk), (R, d)], dtype)
+    rel_ids = rng.integers(0, R, size=(B, Tq, Tk))
     return q, alpha, table, rel_ids
 
 
@@ -389,14 +392,10 @@ def _assert_rel_close(got, want, dtype):
         np.testing.assert_allclose(g, w, **REL_TOL[dtype])
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("B,T", [(1, 1), (3, 5)])
-def test_relation_scores_matches_gathered_composition(dtype, B, T):
-    """Projects onto all R relations and gathers scalars: roundoff only
-    against the gathered [B, T, T, d] composition."""
+def _check_relation_scores(dtype, B, Tq, Tk):
     rng = np.random.default_rng(14)
-    q, _, table, rel_ids = _rel_arrays(rng, B, T, 9, 4, dtype)
-    seed = _rel_seed((B, T, T), dtype)
+    q, _, table, rel_ids = _rel_arrays(rng, B, Tq, Tk, 9, 4, dtype)
+    seed = _rel_seed((B, Tq, Tk), dtype)
     _assert_rel_close(
         _run(lambda q_, t_: perf.relation_scores(q_, t_, rel_ids), [q, table], seed),
         _run(lambda q_, t_: (q_.unsqueeze(2) * t_.take(rel_ids)).sum(axis=3), [q, table], seed),
@@ -404,13 +403,10 @@ def test_relation_scores_matches_gathered_composition(dtype, B, T):
     )
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("B,T", [(1, 1), (3, 5)])
-def test_relation_values_matches_gathered_composition(dtype, B, T):
-    """Buckets alpha by relation id, then one matmul: roundoff only."""
+def _check_relation_values(dtype, B, Tq, Tk):
     rng = np.random.default_rng(15)
-    _, alpha, table, rel_ids = _rel_arrays(rng, B, T, 9, 4, dtype)
-    seed = _rel_seed((B, T, 4), dtype)
+    _, alpha, table, rel_ids = _rel_arrays(rng, B, Tq, Tk, 9, 4, dtype)
+    seed = _rel_seed((B, Tq, 4), dtype)
     _assert_rel_close(
         _run(lambda a_, t_: perf.relation_values(a_, t_, rel_ids), [alpha, table], seed),
         _run(lambda a_, t_: (a_.unsqueeze(3) * t_.take(rel_ids)).sum(axis=2), [alpha, table], seed),
@@ -418,12 +414,115 @@ def test_relation_values_matches_gathered_composition(dtype, B, T):
     )
 
 
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("B,T", [(1, 1), (3, 5)])
+def test_relation_scores_matches_gathered_composition(dtype, B, T):
+    """Projects onto all R relations and gathers scalars: roundoff only
+    against the gathered [B, T, T, d] composition."""
+    _check_relation_scores(dtype, B, T, T)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("B,T", [(1, 1), (3, 5)])
+def test_relation_values_matches_gathered_composition(dtype, B, T):
+    """Buckets alpha by relation id, then one matmul: roundoff only."""
+    _check_relation_values(dtype, B, T, T)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("B,Tk", [(1, 6), (3, 5)])
+def test_relation_kernels_one_query_row(dtype, B, Tk):
+    """Tq = 1 against Tk keys, the shape EMBSR's star-row attention passes:
+    the same roundoff-only contract as the square case."""
+    _check_relation_scores(dtype, B, 1, Tk)
+    _check_relation_values(dtype, B, 1, Tk)
+
+
 def test_relation_kernels_gradcheck():
-    rng = np.random.default_rng(16)
-    q, alpha, table, rel_ids = _rel_arrays(rng, 2, 3, 5, 4, np.float64)
-    q, alpha, table = (Tensor(a, requires_grad=True) for a in (q, alpha, table))
-    check_gradients(lambda q_, t_: perf.relation_scores(q_, t_, rel_ids), [q, table])
-    check_gradients(lambda a_, t_: perf.relation_values(a_, t_, rel_ids), [alpha, table])
+    for Tq, Tk in [(3, 3), (1, 4)]:
+        rng = np.random.default_rng(16)
+        q, alpha, table, rel_ids = _rel_arrays(rng, 2, Tq, Tk, 5, 4, np.float64)
+        q, alpha, table = (Tensor(a, requires_grad=True) for a in (q, alpha, table))
+        check_gradients(lambda q_, t_: perf.relation_scores(q_, t_, rel_ids), [q, table])
+        check_gradients(lambda a_, t_: perf.relation_values(a_, t_, rel_ids), [alpha, table])
+
+
+# ----------------------------------------------------------------------
+# Operation-aware attention: the star row against the full-row block
+# ----------------------------------------------------------------------
+def full_row_attention(attn, x, seq_ops, seq_mask, use_dyadic):
+    """The block as it was before it computed only the star row: queries,
+    [B, T, T] scores, softmax, FFN and layer norm for all T rows, of which
+    EMBSR read row 0. Kept as the oracle of ``OperationAwareSelfAttention``."""
+    B, T, d = x.shape
+    scale = 1.0 / np.sqrt(d)
+    pos = attn.positions(np.broadcast_to(np.arange(T), (B, T)))
+    keys = x + pos
+    q = attn.w_q(x)
+    scores = (q @ keys.swapaxes(-1, -2)) * scale
+    if use_dyadic:
+        rel_ids = relation_ids(seq_ops, seq_ops, attn.num_ops)
+        scores = scores + perf.relation_scores(q, attn.relations.weight, rel_ids) * scale
+    bias = np.where(seq_mask.astype(bool)[:, None, :], 0.0, -1e9)
+    alpha = (scores + Tensor(np.broadcast_to(bias, (B, T, T)).copy())).softmax(axis=-1)
+    z = alpha @ keys
+    if use_dyadic:
+        z = z + perf.relation_values(alpha, attn.relations.weight, rel_ids)
+    z = attn.norm(z + attn.dropout(attn.ffn(z)))
+    return z[:, 0, :]
+
+
+def _attention_case(B, dtype, T=12, d=16, num_ops=5):
+    """A block, inputs with masked rows (every odd session is padded
+    after a random length below T), and a random projection for the loss."""
+    rng = np.random.default_rng(B)
+    with default_dtype(dtype):
+        attn = OperationAwareSelfAttention(
+            d, num_ops=num_ops, max_len=T, dropout=0.0, rng=np.random.default_rng(3)
+        )
+    lengths = np.where(np.arange(B) % 2 == 0, T, rng.integers(1, T, size=B))
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float64)
+    ops = rng.integers(1, num_ops + 1, size=(B, T)) * mask.astype(np.int64)
+    x, projection = _arrays(rng, [(B, T, d), (B, d)], dtype)
+    return attn, x, ops, mask, projection
+
+
+def _attention_results(block, attn, x, ops, mask, projection, use_dyadic):
+    """``z_s``, the gradient of ``x`` and of every parameter, under the
+    loss ``(z_s * projection).sum()``."""
+    attn.zero_grad()
+    with default_dtype(x.dtype):
+        leaf = Tensor(x.copy(), requires_grad=True)
+        z = block(attn, leaf, ops, mask, use_dyadic)
+        (z * Tensor(projection)).sum().backward()
+    grads = [p.grad for p in attn.parameters()]
+    return [z.data, leaf.grad] + [np.zeros(0) if g is None else g.copy() for g in grads]
+
+
+def _star_row(attn, x, ops, mask, use_dyadic):
+    return attn(x, ops, mask, use_dyadic=use_dyadic)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("use_dyadic", [True, False])
+@pytest.mark.parametrize("B", [1, 2, 64])
+def test_star_row_attention_matches_full_row_block(dtype, use_dyadic, B):
+    """Computing only the star row changes GEMM heights (and so BLAS
+    kernels), not the math: output, input gradient and every parameter
+    gradient agree with row 0 of the full-row block to roundoff, within
+    1e-10 of each array's largest entry in float64.
+
+    The loss is a random projection of ``z_s``: a ``(z * z).sum()`` loss
+    sits in LayerNorm's cancellation regime, where float32 gradients
+    differ by ~1 % for roundoff reasons alone."""
+    case = _attention_case(B, dtype)
+    got = _attention_results(_star_row, *case, use_dyadic)
+    want = _attention_results(full_row_attention, *case, use_dyadic)
+    assert len(got) == len(want)
+    rtol = 1e-10 if dtype == np.float64 else 2e-5
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.shape == w.shape and g.dtype == w.dtype, i
+        assert np.abs(g - w).max(initial=0.0) <= rtol * np.abs(w).max(initial=0.0), i
 
 
 # ----------------------------------------------------------------------
