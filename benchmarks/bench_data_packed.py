@@ -140,10 +140,11 @@ def generate_jsonl(path: pathlib.Path, sessions: int, seed: int, chunk: int = 20
 
 
 def worker_rss(dataset_sessions: int, seed: int, packed_path: pathlib.Path):
-    """Per-worker RssAnon: object-path baseline vs memmap-loaded packed.
+    """Per-worker RssAnon: object-list baseline vs memmap-loaded packed.
 
     Both runs train the same NARM model on the same examples with 2
-    forked workers; only the storage of the training split differs.
+    forked workers; only the storage of the training split differs (the
+    baseline's loader is handed the split as a list of ``MacroSession``).
     ``RssAnon`` counts each worker's resident anonymous pages — object
     examples land there, memmap arrays do not (they are ``RssFile``,
     shared through the page cache). The loader packs an object list into
@@ -158,21 +159,21 @@ def worker_rss(dataset_sessions: int, seed: int, packed_path: pathlib.Path):
     # heap, and forked workers inherit every resident page — running it
     # first would charge the object examples to the memmap workers too.
     for mode in ("memmap", "object"):
-        dataset = packed.to_prepared() if mode == "object" else packed
-        runner = ExperimentRunner(dataset, ExperimentConfig(dim=16, dropout=0.1, seed=seed))
+        train = packed.train.to_examples() if mode == "object" else packed.train
+        runner = ExperimentRunner(packed, ExperimentConfig(dim=16, dropout=0.1, seed=seed))
         model = runner.build("NARM").build_model()
         optimizer = nn.Adam(model.parameters(), lr=0.003)
         model.train()
         loader = DataLoader(
-            dataset.train, batch_size=64, shuffle=True, seed=seed,
+            train, batch_size=64, shuffle=True, seed=seed,
             max_ops_per_item=6, reuse_buffers=True,
         )
         engine = DataParallelEngine(
             model, loader, workers=2, grad_shards=2, seed=seed,
-            dtype="float64", num_items=dataset.num_items,
+            dtype="float64", num_items=packed.num_items,
         )
         try:
-            steps = min(20, max(2, len(dataset.train) // 64))
+            steps = min(20, max(2, len(train) // 64))
             for i in range(steps):
                 optimizer.zero_grad()
                 engine.compute(0, i, 0, batch=None)
@@ -192,7 +193,7 @@ def worker_rss(dataset_sessions: int, seed: int, packed_path: pathlib.Path):
             f"workers [{mode:6s}] RssAnon/worker "
             f"{[f'{kb / 1024:.0f}MB' for kb in out[mode]['rss_anon_kb_per_worker']]}"
         )
-        del dataset, runner, model, loader, engine
+        del train, runner, model, loader, engine
     out["memmap_below_object"] = bool(
         out["memmap"]["max_rss_anon_kb"] < out["object"]["max_rss_anon_kb"]
     )
@@ -235,7 +236,6 @@ def main(argv=None) -> int:
             packed = pack_sessions_jsonl(
                 jsonl, cfg.operations, name="bench-1m",
                 min_support=args.min_support, seed=args.seed,
-                fingerprint=False,  # fingerprinting walks every example; skip at 1e6 scale
             )
             pack_sec = time.perf_counter() - start
             packed.save(rpk)
@@ -259,7 +259,7 @@ def main(argv=None) -> int:
             generate_jsonl(sub, worker_sessions, args.seed + 1)
             pack_sessions_jsonl(
                 sub, cfg.operations, name="bench-workers",
-                min_support=args.min_support, seed=args.seed, fingerprint=False,
+                min_support=args.min_support, seed=args.seed,
             ).save(worker_rpk)
         workers = worker_rss(worker_sessions, args.seed, worker_rpk)
         if not workers["memmap_below_object"]:

@@ -1,9 +1,10 @@
 """Self-describing model artifacts: spec + vocabulary + weights + metadata.
 
-A checkpoint that is only a bag of arrays cannot be served without
-re-loading the dataset it was trained on and re-deriving the architecture
-by hand. An **artifact** bundles everything a fresh process needs to
-reconstruct the fitted model:
+A bag of parameter arrays cannot be served without re-loading the dataset
+it was trained on and re-deriving the architecture by hand, so a trained
+model is saved as an **artifact**, the one model file this library writes
+and reads. It bundles everything a fresh process needs to reconstruct the
+fitted model:
 
 * the :class:`~repro.registry.ModelSpec` (architecture identity),
 * the item vocabulary in dense order (raw id of every embedding row),
@@ -34,15 +35,20 @@ from .reliability import atomic_save_npz
 
 __all__ = [
     "ARTIFACT_FORMAT_VERSION",
+    "ArtifactFormatError",
     "ModelArtifact",
     "save_artifact",
     "load_artifact",
-    "try_load_artifact",
     "load_recommender",
     "store_retrieval_spec",
 ]
 
 ARTIFACT_FORMAT_VERSION = 1
+
+
+class ArtifactFormatError(ValueError):
+    """A file that is not a model artifact this build reads."""
+
 
 # Reserved archive keys. Everything under WEIGHT_PREFIX is a parameter.
 _HEADER_KEY = "__artifact__"
@@ -131,22 +137,22 @@ def save_artifact(
 def load_artifact(path: str | pathlib.Path) -> ModelArtifact:
     """Load an artifact written by :func:`save_artifact`.
 
-    Raises ``ValueError`` when ``path`` is an ``.npz`` archive that is not
-    an artifact (e.g. a bare parameter checkpoint), so callers can
-    distinguish the legacy format cleanly.
+    Raises :class:`ArtifactFormatError` when ``path`` is an ``.npz``
+    archive that is not an artifact (e.g. bare parameters, which carry no
+    spec or vocabulary) or one of another format version.
     """
     path = pathlib.Path(path)
     with np.load(path) as archive:
         if _HEADER_KEY not in archive.files:
-            raise ValueError(
+            raise ArtifactFormatError(
                 f"{path} is not a model artifact (missing {_HEADER_KEY!r} header); "
-                "bare parameter checkpoints carry no spec/vocabulary"
+                "bare parameters carry no spec/vocabulary"
             )
         data = {name: archive[name] for name in archive.files}
     header = json.loads(data.pop(_HEADER_KEY).tobytes().decode())
     version = header.get("format_version")
     if version != ARTIFACT_FORMAT_VERSION:
-        raise ValueError(
+        raise ArtifactFormatError(
             f"{path} uses artifact format {version!r}; this build reads "
             f"version {ARTIFACT_FORMAT_VERSION}"
         )
@@ -162,19 +168,6 @@ def load_artifact(path: str | pathlib.Path) -> ModelArtifact:
         item_ids=item_ids,
         metadata=header.get("metadata", {}),
     ).validate()
-
-
-def try_load_artifact(path: str | pathlib.Path) -> ModelArtifact | None:
-    """Like :func:`load_artifact`, but ``None`` for non-artifact archives.
-
-    Only the *absence of the artifact header* maps to ``None`` (that's a
-    legacy bare-parameter checkpoint); corrupt files and version
-    mismatches still raise.
-    """
-    with np.load(pathlib.Path(path)) as archive:
-        if _HEADER_KEY not in archive.files:
-            return None
-    return load_artifact(path)
 
 
 def load_recommender(path: str | pathlib.Path, train_config=None):

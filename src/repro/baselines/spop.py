@@ -9,8 +9,6 @@ this.
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
 from ..data.dataset import SessionBatch
@@ -38,13 +36,11 @@ class SPop(Recommender):
 
     def fit(self, dataset: PreparedDataset) -> "SPop":
         self.num_items = dataset.num_items
-        counts = Counter()
-        for example in dataset.train:
-            counts.update(example.macro_items)
-            counts[example.target] += 1
-        pop = np.zeros(self.num_items)
-        for item, n in counts.items():
-            pop[item - 1] = n
+        split = dataset.train
+        lo, hi = split.session_offsets[0], split.session_offsets[-1]
+        # Every macro step and every target counts once.
+        items = np.concatenate([split.macro_items[lo:hi], split.targets]) - 1
+        pop = np.bincount(items, minlength=self.num_items).astype(np.float64)
         # Squash to (0, 1) so global popularity only ever breaks ties between
         # items with equal in-session frequency.
         self._global_pop = pop / (pop.max() + 1.0)

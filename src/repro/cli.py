@@ -5,16 +5,14 @@ Usage (after ``python setup.py develop``):
 .. code-block:: bash
 
     repro generate --config jd-appliances --sessions 2000 --out sessions.jsonl
-    repro prepare  --config jd-appliances --input sessions.jsonl --out dataset.json
-    repro data pack dataset.json dataset.rpk
-    repro data pack sessions.jsonl dataset.rpk --config jd-appliances
+    repro prepare  --config jd-appliances --input sessions.jsonl --out dataset.rpk
     repro data inspect dataset.rpk
     repro models
-    repro train    --dataset dataset.json --model EMBSR --epochs 8 --artifact embsr.npz
-    repro train    --dataset dataset.json --model EMBSR --resume embsr.npz.state.npz
-    repro evaluate --dataset dataset.json --artifact embsr.npz
-    repro compare  --dataset dataset.json --models EMBSR SGNN-HN MKM-SR --artifact-dir out/
-    repro profile  --dataset dataset.json --model EMBSR --steps 5
+    repro train    --dataset dataset.rpk --model EMBSR --epochs 8 --artifact embsr.npz
+    repro train    --dataset dataset.rpk --model EMBSR --resume embsr.npz.state.npz
+    repro evaluate --dataset dataset.rpk --artifact embsr.npz
+    repro compare  --dataset dataset.rpk --models EMBSR SGNN-HN MKM-SR --artifact-dir out/
+    repro profile  --dataset dataset.rpk --model EMBSR --steps 5
     repro serve    --artifact embsr.npz --port 8080
     repro serve    --artifact embsr.npz --deploy-dir deploy/ --online-interval 30
     repro deploy   --url http://127.0.0.1:8080 --artifact embsr_v2.npz --canary-pct 10
@@ -22,6 +20,8 @@ Usage (after ``python setup.py develop``):
 
 (Also runnable as ``python -m repro.cli ...`` without installing.)
 
+``prepare`` writes the one prepared-dataset file, ``.rpk`` (``docs/data.md``),
+and ``train --artifact`` the one model file, an artifact (``docs/registry.md``).
 ``models`` lists every name the registry resolves. The ``compare`` command
 reproduces a slice of the paper's Table III for any subset of the twelve
 systems. ``profile`` runs a few training steps under the op-level profiler
@@ -38,19 +38,19 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .artifacts import ArtifactFormatError
 from .autograd import MODEL_DTYPE
 from .data import (
+    DatasetFormatError,
     generate_dataset,
     jd_appliances_config,
     jd_computers_config,
-    load_prepared_dataset,
-    load_sessions_jsonl,
+    load_packed,
+    pack_sessions_jsonl,
     prepare_dataset,
-    save_prepared_dataset,
     save_sessions_jsonl,
     trivago_config,
 )
-from .data.io import DatasetFormatError
 from .eval import ExperimentConfig, ExperimentRunner, improvement_table
 from .reliability import TrainingStateError
 from .utils import render_table
@@ -78,7 +78,7 @@ def _add_prepare(sub: argparse._SubParsersAction) -> None:
     p = sub.add_parser("prepare", help="preprocess raw sessions into train/val/test")
     p.add_argument("--config", choices=sorted(_CONFIGS), required=True)
     p.add_argument("--input", required=True, help="sessions JSONL path")
-    p.add_argument("--out", required=True, help="prepared dataset JSON path")
+    p.add_argument("--out", required=True, help="prepared dataset path (.rpk, written atomically)")
     p.add_argument("--min-support", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
 
@@ -127,7 +127,7 @@ def _add_objective_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_train(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("train", help="train one system and save a checkpoint")
+    p = sub.add_parser("train", help="train one system and save an artifact")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default="EMBSR")
     p.add_argument("--dim", type=int, default=32)
@@ -135,7 +135,6 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dtype", choices=["float32", "float64"], default=MODEL_DTYPE)
-    p.add_argument("--checkpoint", default=None, help="save bare parameters here (.npz)")
     p.add_argument(
         "--artifact",
         default=None,
@@ -154,7 +153,7 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
         "--train-state",
         default=None,
         metavar="PATH",
-        help="training-state file (default: <checkpoint>.state.npz, or train_state.npz)",
+        help="training-state file (default: <artifact>.state.npz, or train_state.npz)",
     )
     p.add_argument(
         "--resume",
@@ -167,16 +166,9 @@ def _add_train(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_evaluate(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("evaluate", help="evaluate a trained checkpoint or artifact")
+    p = sub.add_parser("evaluate", help="evaluate a trained artifact on a dataset's test split")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", default="EMBSR")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--checkpoint", default=None, help="bare parameter .npz (needs --model/--dim)")
-    group.add_argument(
-        "--artifact", default=None, help="self-describing bundle; model/dim come from it"
-    )
+    p.add_argument("--artifact", required=True, help="self-describing bundle; model/dim come from it")
 
 
 def _add_compare(sub: argparse._SubParsersAction) -> None:
@@ -232,7 +224,7 @@ def _add_profile(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_serve(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("serve", help="serve a model over HTTP (artifact, checkpoint, or fresh-trained)")
+    p = sub.add_parser("serve", help="serve a model over HTTP (artifact or fresh-trained)")
     p.add_argument(
         "--artifact",
         default=None,
@@ -246,7 +238,6 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--lr", type=float, default=0.005)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checkpoint", default=None, help="load this .npz instead of training")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8080)
     p.add_argument("--max-batch-size", type=int, default=32)
@@ -339,37 +330,10 @@ def _add_index(sub: argparse._SubParsersAction) -> None:
 
 
 def _add_data(sub: argparse._SubParsersAction) -> None:
-    p = sub.add_parser("data", help="packed columnar dataset tools (docs/data.md)")
+    p = sub.add_parser("data", help="prepared dataset tools (docs/data.md)")
     action = p.add_subparsers(dest="data_command", required=True)
 
-    pk = action.add_parser(
-        "pack",
-        help="convert a prepared dataset (.json) or raw sessions (.jsonl) to the packed format",
-    )
-    pk.add_argument("input", help="prepared dataset .json, or raw sessions .jsonl")
-    pk.add_argument("out", help="output packed file (written atomically)")
-    pk.add_argument(
-        "--jsonl",
-        action="store_true",
-        help="force raw-JSONL ingest (otherwise inferred from the .jsonl suffix); "
-        "streams the file twice in bounded memory",
-    )
-    pk.add_argument(
-        "--config",
-        choices=sorted(_CONFIGS),
-        default=None,
-        help="operation vocabulary + default min-support for raw JSONL ingest",
-    )
-    pk.add_argument("--min-support", type=int, default=None)
-    pk.add_argument("--seed", type=int, default=0)
-    pk.add_argument("--name", default=None, help="dataset name recorded in the header")
-    pk.add_argument(
-        "--no-fingerprint",
-        action="store_true",
-        help="skip the content digest (one full pass saved on huge corpora)",
-    )
-
-    ins = action.add_parser("inspect", help="print a packed file's header and sizes")
+    ins = action.add_parser("inspect", help="print a .rpk file's header and sizes")
     ins.add_argument("input")
 
 
@@ -400,35 +364,24 @@ def _cmd_generate(args) -> int:
 
 def _cmd_prepare(args) -> int:
     config_fn, default_support = _CONFIGS[args.config]
-    cfg = config_fn()
-    sessions = load_sessions_jsonl(args.input)
-    dataset = prepare_dataset(
-        sessions,
-        cfg.operations,
+    dataset = pack_sessions_jsonl(
+        args.input,
+        config_fn().operations,
         name=args.config,
         min_support=args.min_support or default_support,
         seed=args.seed,
     )
-    save_prepared_dataset(dataset, args.out)
+    path = dataset.save(args.out)
     print(
         f"prepared {dataset.name}: {len(dataset.train)} train / "
         f"{len(dataset.validation)} val / {len(dataset.test)} test, "
-        f"{dataset.num_items} items -> {args.out}"
+        f"{dataset.num_items} items -> {path}"
     )
     return 0
 
 
-def _load_dataset(path):
-    """Load ``path`` as packed (magic-sniffed) or prepared-JSON dataset."""
-    from .data.packed import is_packed_file, load_packed
-
-    if is_packed_file(path):
-        return load_packed(path)
-    return load_prepared_dataset(path)
-
-
 def _runner(args, epochs: int | None = None) -> ExperimentRunner:
-    dataset = _load_dataset(args.dataset)
+    dataset = load_packed(args.dataset)
     config = ExperimentConfig(
         dim=args.dim,
         epochs=epochs if epochs is not None else getattr(args, "epochs", 10),
@@ -449,56 +402,25 @@ def _runner(args, epochs: int | None = None) -> ExperimentRunner:
 def _cmd_data(args) -> int:
     import pathlib
 
-    from .data.ingest import pack_sessions_jsonl
-    from .data.packed import load_packed, pack_dataset, read_packed_header
+    from .data.packed import read_packed_header
 
-    if args.data_command == "inspect":
-        try:
-            header = read_packed_header(args.input)
-        except (OSError, ValueError) as error:
-            print(f"cannot inspect {args.input}: {error}", file=sys.stderr)
-            return 1
-        size = pathlib.Path(args.input).stat().st_size
-        print(f"{args.input}: packed dataset format v{header['format_version']}")
-        print(f"  name         {header['name']}")
-        print(f"  fingerprint  {header['fingerprint'] or '(none)'}")
-        print(f"  items        {header['num_items']}")
-        print(f"  operations   {', '.join(header['operations'])}")
-        for split, counts in header["splits"].items():
-            print(
-                f"  {split:12s} {counts['sessions']} sessions, "
-                f"{counts['macro_steps']} macro steps, {counts['micro_ops']} micro ops"
-            )
-        print(f"  file bytes   {size}")
-        return 0
-
-    if args.jsonl or str(args.input).endswith(".jsonl"):
-        if args.config is None:
-            print("packing raw JSONL needs --config for the operation vocabulary", file=sys.stderr)
-            return 1
-        config_fn, default_support = _CONFIGS[args.config]
-        cfg = config_fn()
-        packed = pack_sessions_jsonl(
-            args.input,
-            cfg.operations,
-            name=args.name or args.config,
-            min_support=args.min_support or default_support,
-            seed=args.seed,
-            fingerprint=not args.no_fingerprint,
+    try:
+        header = read_packed_header(args.input)
+    except (OSError, ValueError) as error:
+        print(f"cannot inspect {args.input}: {error}", file=sys.stderr)
+        return 1
+    size = pathlib.Path(args.input).stat().st_size
+    print(f"{args.input}: packed dataset format v{header['format_version']}")
+    print(f"  name         {header['name']}")
+    print(f"  fingerprint  {header['fingerprint'] or '(none)'}")
+    print(f"  items        {header['num_items']}")
+    print(f"  operations   {', '.join(header['operations'])}")
+    for split, counts in header["splits"].items():
+        print(
+            f"  {split:12s} {counts['sessions']} sessions, "
+            f"{counts['macro_steps']} macro steps, {counts['micro_ops']} micro ops"
         )
-    else:
-        packed = pack_dataset(load_prepared_dataset(args.input))
-        if args.name:
-            packed.name = args.name
-    path = packed.save(args.out)
-    sizes = {name: len(split) for name, split in packed.splits().items()}
-    print(
-        f"packed {packed.name}: {sizes['train']} train / {sizes['validation']} val / "
-        f"{sizes['test']} test, {packed.num_items} items "
-        f"({packed.nbytes()} array bytes) -> {path}"
-    )
-    # A load sanity-check is nearly free (memmap: header + page table only).
-    load_packed(path)
+    print(f"  file bytes   {size}")
     return 0
 
 
@@ -519,13 +441,12 @@ def _cmd_train(args) -> int:
     import pathlib
 
     from .eval.trainer import NeuralRecommender
-    from .nn import save_checkpoint
 
-    # Crash safety: state writes are on unless explicitly disabled — they go
-    # next to the parameter checkpoint (or train_state.npz) atomically.
-    if args.checkpoint_every or args.resume or args.train_state or args.checkpoint:
+    # Crash safety: a run that saves an artifact (or asks for states) writes
+    # its training state atomically next to the artifact (or to train_state.npz).
+    if args.checkpoint_every or args.resume or args.train_state or args.artifact:
         state = args.train_state or args.resume or (
-            f"{args.checkpoint}.state.npz" if args.checkpoint else "train_state.npz"
+            f"{args.artifact}.state.npz" if args.artifact else "train_state.npz"
         )
         args.train_state_path = str(pathlib.Path(state).resolve())
     runner = _runner(args)
@@ -534,17 +455,13 @@ def _cmd_train(args) -> int:
     print(f"{args.model} test metrics: {pretty}")
     if getattr(args, "train_state_path", None):
         print(f"training state saved to {args.train_state_path}")
-    if args.checkpoint or args.artifact:
+    if args.artifact:
         recommender = result.recommender
         if not isinstance(recommender, NeuralRecommender):
             print(f"{args.model} has no parameters to persist", file=sys.stderr)
             return 1
-        if args.checkpoint:
-            saved = save_checkpoint(recommender.model, args.checkpoint)
-            print(f"checkpoint saved to {pathlib.Path(saved).resolve()}")
-        if args.artifact:
-            recommender.save(args.artifact, metrics=result.metrics)
-            print(f"artifact saved to {pathlib.Path(args.artifact).resolve()}")
+        recommender.save(args.artifact, metrics=result.metrics)
+        print(f"artifact saved to {pathlib.Path(args.artifact).resolve()}")
     return 0
 
 
@@ -552,20 +469,11 @@ def _cmd_evaluate(args) -> int:
     from .eval.metrics import evaluate_scores
     from .eval.trainer import NeuralRecommender
 
-    if args.artifact:
-        # The bundle carries model name, dims, and weights; the dataset only
-        # supplies the test examples to score.
-        dataset = _load_dataset(args.dataset)
-        recommender = NeuralRecommender.from_artifact(args.artifact)
-        print(f"loaded {recommender.name} from {args.artifact}")
-    else:
-        runner = _runner(args, epochs=0)
-        dataset = runner.dataset
-        recommender = runner.build(args.model)
-        if not isinstance(recommender, NeuralRecommender):
-            print(f"{args.model} is not a neural model", file=sys.stderr)
-            return 1
-        recommender.load(dataset, args.checkpoint)
+    # The bundle carries model name, dims, and weights; the dataset only
+    # supplies the test examples to score.
+    dataset = load_packed(args.dataset)
+    recommender = NeuralRecommender.from_artifact(args.artifact)
+    print(f"loaded {recommender.name} from {args.artifact}")
     scores, targets = recommender.trainer.predict(dataset.test)
     metrics = evaluate_scores(scores, targets)
     print(render_table(["metric", "value (%)"], sorted(metrics.items())))
@@ -732,22 +640,7 @@ def _cmd_serve(args) -> int:
     runner = ExperimentRunner(
         dataset, ExperimentConfig(dim=args.dim, epochs=args.epochs, lr=args.lr, seed=args.seed)
     )
-    if args.checkpoint:
-        try:
-            recommender = runner.build(args.model).load(dataset, args.checkpoint)
-        except FileNotFoundError:
-            print(f"checkpoint not found: {args.checkpoint}", file=sys.stderr)
-            return 1
-        except (KeyError, ValueError) as error:
-            print(
-                f"checkpoint {args.checkpoint} does not match {args.model} "
-                f"(dim={args.dim}) on this dataset: {error}",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"loaded {args.model} checkpoint from {args.checkpoint}")
-    else:
-        recommender = runner.run(args.model, verbose=True).recommender
+    recommender = runner.run(args.model, verbose=True).recommender
     service = RecommenderService(recommender, dataset.vocab, num_ops=dataset.num_operations)
     try:
         service.enable_retrieval(args.retrieval, nprobe=args.nprobe)
@@ -1027,7 +920,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (DatasetFormatError, TrainingStateError) as error:
+    except (ArtifactFormatError, DatasetFormatError, TrainingStateError) as error:
         print(error, file=sys.stderr)
         return 1
 

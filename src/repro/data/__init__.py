@@ -7,19 +7,15 @@ from .io import (
     iter_event_log,
     iter_sessions_jsonl,
     load_event_log,
-    load_prepared_dataset,
     load_sessions_jsonl,
     load_trivago_log,
-    save_prepared_dataset,
     save_sessions_jsonl,
 )
-from .ingest import pack_sessions_jsonl, pack_sessions_stream
+from .ingest import pack_sessions_jsonl
 from .packed import (
-    PackedDataset,
     PackedSplit,
     collate_packed,
     load_packed,
-    pack_dataset,
     packed_fingerprint,
     packed_padded_dims,
 )
@@ -90,16 +86,11 @@ __all__ = [
     "save_sessions_jsonl",
     "load_sessions_jsonl",
     "iter_sessions_jsonl",
-    "save_prepared_dataset",
-    "load_prepared_dataset",
-    "PackedDataset",
     "PackedSplit",
-    "pack_dataset",
     "load_packed",
     "collate_packed",
     "packed_padded_dims",
     "packed_fingerprint",
-    "pack_sessions_stream",
     "pack_sessions_jsonl",
     "compute_stats",
     "ValidationIssue",

@@ -1,4 +1,4 @@
-"""Columnar ingest: raw sessions -> :class:`~repro.data.packed.PackedDataset`.
+"""Columnar ingest: raw sessions -> :class:`~repro.data.packed.PreparedDataset`.
 
 The paper's preprocessing (Sec. V-A1) has one implementation, the
 columnar core :func:`pack_chunks`. It consumes *session chunks*: at most
@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .packed import PackedDataset, PackedSplit, _grouped_arange, packed_fingerprint
+from .packed import PackedSplit, PreparedDataset, _grouped_arange
 from .schema import OperationVocab, Session, SessionFormatError
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "read_jsonl_chunks",
     "session_chunks",
     "pack_chunks",
-    "pack_sessions_stream",
     "pack_sessions_jsonl",
 ]
 
@@ -355,8 +354,7 @@ def pack_chunks(
     max_macro_len: int = 20,
     split: tuple[float, float, float] = (0.7, 0.1, 0.2),
     seed: int = 0,
-    fingerprint: bool = True,
-) -> PackedDataset:
+) -> PreparedDataset:
     """The paper's preprocessing over session chunks, written as CSR columns.
 
     Matches the object pipeline exactly: the vocabulary is the sorted raw
@@ -465,10 +463,7 @@ def pack_chunks(
                 sid_col[lo:hi],
             )
         )
-    packed = PackedDataset(name, *splits, item_ids=item_ids, operations=operations)
-    if fingerprint:
-        packed.fingerprint = packed_fingerprint(packed)
-    return packed
+    return PreparedDataset(name, *splits, item_ids=item_ids, operations=operations)
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -477,24 +472,11 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return offsets
 
 
-def pack_sessions_stream(
-    make_sessions: Callable[[], Iterable[Session]],
-    operations: OperationVocab,
-    **kwargs,
-) -> PackedDataset:
-    """``prepare_dataset`` + ``pack_dataset`` in one step, array-identical.
-
-    ``make_sessions`` is called once; its sessions go through the columnar
-    core a chunk at a time. Keyword arguments are :func:`pack_chunks`'s.
-    """
-    return pack_chunks(session_chunks(make_sessions()), operations, **kwargs)
-
-
 def pack_sessions_jsonl(
     path: str | pathlib.Path,
     operations: OperationVocab,
     **kwargs,
-) -> PackedDataset:
+) -> PreparedDataset:
     """Pack a sessions JSONL file (``save_sessions_jsonl`` output) without
     building a ``Session``; keyword arguments are :func:`pack_chunks`'s."""
     return pack_chunks(read_jsonl_chunks(path), operations, **kwargs)

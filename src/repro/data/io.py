@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .ingest import read_jsonl_chunks
-from .preprocess import PreparedDataset
-from .schema import DatasetFormatError, Interaction, MacroSession, OperationVocab, Session
+from .schema import Interaction, OperationVocab, Session
 
 __all__ = [
-    "DatasetFormatError",
     "EventLogFormat",
     "load_event_log",
     "iter_event_log",
@@ -37,8 +35,6 @@ __all__ = [
     "save_sessions_jsonl",
     "load_sessions_jsonl",
     "iter_sessions_jsonl",
-    "save_prepared_dataset",
-    "load_prepared_dataset",
 ]
 
 
@@ -193,7 +189,7 @@ def load_trivago_log(
 
 
 # ----------------------------------------------------------------------
-# JSONL persistence for generated / preprocessed data
+# JSONL persistence for generated sessions
 # ----------------------------------------------------------------------
 def save_sessions_jsonl(sessions: Iterable[Session], path: str | pathlib.Path) -> None:
     """Write sessions as one JSON object per line (portable, diff-able)."""
@@ -231,77 +227,3 @@ def load_sessions_jsonl(path: str | pathlib.Path) -> list[Session]:
     """Inverse of :func:`save_sessions_jsonl` (eager; see
     :func:`iter_sessions_jsonl` for the streaming form)."""
     return list(iter_sessions_jsonl(path))
-
-
-def _macro_to_dict(example: MacroSession) -> dict:
-    return {
-        "items": example.macro_items,
-        "ops": example.op_sequences,
-        "target": example.target,
-        "session_id": example.session_id,
-    }
-
-
-def _macro_from_dict(record: dict) -> MacroSession:
-    return MacroSession(
-        record["items"],
-        [list(o) for o in record["ops"]],
-        target=record["target"],
-        session_id=record["session_id"],
-    )
-
-
-def save_prepared_dataset(dataset: PreparedDataset, path: str | pathlib.Path) -> None:
-    """Persist a fully preprocessed dataset (splits + vocab) as JSON."""
-    payload = {
-        "name": dataset.name,
-        "operations": list(dataset.operations.names),
-        "item_ids": [dataset.vocab.decode(i) for i in range(1, dataset.num_items + 1)],
-        "splits": {
-            split: [_macro_to_dict(ex) for ex in examples]
-            for split, examples in dataset.splits().items()
-        },
-    }
-    pathlib.Path(path).write_text(json.dumps(payload))
-
-
-_PREPARED_KEYS = ("name", "operations", "item_ids", "splits")
-
-
-def load_prepared_dataset(path: str | pathlib.Path) -> PreparedDataset:
-    """Inverse of :func:`save_prepared_dataset`.
-
-    Raises :class:`DatasetFormatError` when ``path`` does not hold the
-    JSON object :func:`save_prepared_dataset` writes (raw session JSONL,
-    an empty file, a directory, ...).
-    """
-    from .preprocess import ItemVocab
-
-    def wrong_kind(problem) -> DatasetFormatError:
-        return DatasetFormatError(
-            f"cannot load {path}: expected a prepared dataset (.json from "
-            f"`repro prepare`) or a packed .rpk; {problem}"
-        )
-
-    try:
-        payload = json.loads(pathlib.Path(path).read_text())
-    except (IsADirectoryError, ValueError) as error:
-        raise wrong_kind(error) from error
-    if not isinstance(payload, dict):
-        raise wrong_kind(f"found a JSON {type(payload).__name__}")
-    missing = [key for key in _PREPARED_KEYS if key not in payload]
-    if missing:
-        raise wrong_kind(f"missing key(s) {', '.join(missing)}")
-    vocab = ItemVocab(payload["item_ids"])
-    splits = {
-        split: [_macro_from_dict(r) for r in records]
-        for split, records in payload["splits"].items()
-    }
-    return PreparedDataset(
-        name=payload["name"],
-        train=splits["train"],
-        validation=splits["validation"],
-        test=splits["test"],
-        vocab=vocab,
-        operations=OperationVocab(payload["operations"]),
-    )

@@ -1,4 +1,4 @@
-"""Columnar packed datasets: CSR ragged arrays, zero-loop collation, memmap.
+"""The prepared dataset: CSR ragged arrays, zero-loop collation, ``.rpk`` files.
 
 A list of :class:`~repro.data.schema.MacroSession` is dozens of heap
 objects per session, and :func:`~repro.data.dataset.collate` walks them in
@@ -6,8 +6,8 @@ a nested Python loop. That is the RAM ceiling at million-session scale,
 and past a few sessions per batch the loop is slower than array gathers
 (collation is ~1 % of an EMBSR training step either way).
 
-This module stores a dataset **columnarly** instead, in CSR-style ragged
-arrays:
+So a :class:`PreparedDataset` stores each split **columnarly**, in
+CSR-style ragged arrays:
 
 ``session_offsets``  [S+1]  span of each session inside ``macro_items``
 ``macro_items``      [M]    dense item id of every macro step
@@ -16,6 +16,9 @@ arrays:
 ``targets``          [S]    dense ground-truth item id per session
 ``session_ids``      [S]    original session ids (round-trip fidelity)
 
+Offsets index the value arrays absolutely, so a contiguous slice of a
+split (``split[a:b]``) is a view that shares every value array.
+
 On top of that layout:
 
 * :func:`collate_packed` builds a :class:`~repro.data.dataset.SessionBatch`
@@ -23,24 +26,21 @@ On top of that layout:
   loop over examples or ops** — and is bitwise-identical to the loop
   collate, including ``max_ops_per_item`` truncation, ``pad_to``, and
   :class:`~repro.data.dataset.CollateBuffers` reuse. It is the only batch
-  path of :class:`~repro.data.dataset.DataLoader`, which packs a list of
-  examples once, at construction.
-* :meth:`PackedDataset.save` writes one self-describing file (JSON header +
-  64-byte-aligned raw arrays) atomically via
+  path of :class:`~repro.data.dataset.DataLoader`.
+* :meth:`PreparedDataset.save` writes one self-describing ``.rpk`` file
+  (JSON header + 64-byte-aligned raw arrays) atomically via
   :func:`repro.reliability.atomic.atomic_write`; :func:`load_packed` maps it
   back either in memory or **zero-copy via a read-only memmap**, so forked
   data-parallel workers share file-backed pages instead of each holding a
   copy of the Python object graph.
-* :func:`pack_dataset` / :meth:`PackedDataset.to_prepared` convert to and
-  from :class:`~repro.data.preprocess.PreparedDataset` losslessly.
-* :func:`packed_fingerprint` digests the arrays into the same fingerprint
-  :func:`~repro.data.stats.dataset_fingerprint` gives the examples.
+* :func:`packed_fingerprint` digests the arrays into the short hash model
+  artifacts record as the dataset they were trained on.
 
 Raw sessions (a JSONL file or ``Session`` objects) are packed by the
 columnar core in :mod:`repro.data.ingest`.
 
 See ``docs/data.md`` for the on-disk format and the CLI
-(``repro data pack`` / ``repro data inspect``).
+(``repro prepare`` / ``repro data inspect``).
 """
 
 from __future__ import annotations
@@ -48,17 +48,18 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .dataset import CollateBuffers, SessionBatch
-from .schema import MacroSession, OperationVocab
+from .schema import DatasetFormatError, MacroSession, OperationVocab
 
 __all__ = [
     "PackedSplit",
-    "PackedDataset",
-    "pack_dataset",
+    "PreparedDataset",
     "load_packed",
     "collate_packed",
     "packed_padded_dims",
@@ -98,11 +99,12 @@ def _grouped_arange(starts: np.ndarray, counts: np.ndarray, total: int | None = 
 
 
 class PackedSplit:
-    """One split of a :class:`PackedDataset`: six flat int64 arrays.
+    """One split of a :class:`PreparedDataset`: six flat int64 arrays.
 
-    Behaves enough like a ``Sequence[MacroSession]`` (``len``, indexing,
-    iteration — materializing examples on demand) that existing consumers
-    keep working, while the batching path never touches Python objects.
+    A ``Sequence[MacroSession]`` on demand (``len``, indexing, iteration
+    materialize examples), while the batching path never touches Python
+    objects. ``split[a:b]`` is a :class:`PackedSplit` view: its offsets
+    keep pointing into the shared value arrays, so nothing is copied.
     """
 
     def __init__(
@@ -132,11 +134,11 @@ class PackedSplit:
 
     @property
     def num_macro_steps(self) -> int:
-        return int(self.macro_items.shape[0])
+        return int(self.session_offsets[-1] - self.session_offsets[0])
 
     @property
     def num_micro_ops(self) -> int:
-        return int(self.op_ids.shape[0])
+        return int(self.op_offsets[self.session_offsets[-1]] - self.op_offsets[self.session_offsets[0]])
 
     @property
     def op_lengths(self) -> np.ndarray:
@@ -146,7 +148,26 @@ class PackedSplit:
         return self._op_lengths
 
     def nbytes(self) -> int:
-        return sum(int(getattr(self, f).nbytes) for f in _SPLIT_FIELDS)
+        """Bytes of this split's six columns as :meth:`columns` returns them."""
+        return 8 * (3 * len(self) + 2 * self.num_macro_steps + self.num_micro_ops + 2)
+
+    def columns(self) -> dict[str, np.ndarray]:
+        """The six columns with offsets from 0: the arrays a file stores."""
+        lo, hi = int(self.session_offsets[0]), int(self.session_offsets[-1])
+        op_lo, op_hi = int(self.op_offsets[lo]), int(self.op_offsets[hi])
+        session_offsets, op_offsets = self.session_offsets, self.op_offsets[lo : hi + 1]
+        if lo:
+            session_offsets = session_offsets - lo
+        if op_lo:
+            op_offsets = op_offsets - op_lo
+        return {
+            "session_offsets": session_offsets,
+            "macro_items": self.macro_items[lo:hi],
+            "op_offsets": op_offsets,
+            "op_ids": self.op_ids[op_lo:op_hi],
+            "targets": self.targets,
+            "session_ids": self.session_ids,
+        }
 
     # -- MacroSession compatibility -------------------------------------
     def example(self, index: int) -> MacroSession:
@@ -168,17 +189,37 @@ class PackedSplit:
             session_id=int(self.session_ids[index]),
         )
 
-    def __getitem__(self, index: int) -> MacroSession:
-        return self.example(index)
+    def __getitem__(self, index):
+        """Session ``index`` as a :class:`MacroSession`; a slice is a split.
+
+        A contiguous slice is a view (its offset array is a slice, the
+        value arrays are shared); a strided one is gathered by :meth:`select`.
+        """
+        if not isinstance(index, slice):
+            return self.example(index)
+        start, stop, step = index.indices(len(self))
+        if step != 1:
+            return self.select(range(start, stop, step))
+        stop = max(start, stop)
+        view = PackedSplit(
+            self.session_offsets[start : stop + 1],
+            self.macro_items,
+            self.op_offsets,
+            self.op_ids,
+            self.targets[start:stop],
+            self.session_ids[start:stop],
+        )
+        view._op_lengths = self._op_lengths
+        return view
 
     def __iter__(self) -> Iterator[MacroSession]:
-        for i in range(len(self)):
-            yield self.example(i)
+        return iter(self.to_examples())
 
     def to_examples(self) -> list[MacroSession]:
         """Every session as a :class:`MacroSession` (one ``tolist`` per array)."""
-        items, ops = self.macro_items.tolist(), self.op_ids.tolist()
-        bounds, op_bounds = self.session_offsets.tolist(), self.op_offsets.tolist()
+        columns = self.columns()
+        items, ops = columns["macro_items"].tolist(), columns["op_ids"].tolist()
+        bounds, op_bounds = columns["session_offsets"].tolist(), columns["op_offsets"].tolist()
         runs = [ops[a:b] for a, b in zip(op_bounds, op_bounds[1:])]
         return [
             MacroSession(items[a:b], runs[a:b], target=target, session_id=session_id)
@@ -376,50 +417,45 @@ def collate_packed(
     )
 
 
-class PackedDataset:
-    """A fully preprocessed dataset stored as columnar packed splits.
+@dataclass(eq=False)
+class PreparedDataset:
+    """A fully preprocessed dataset: three CSR splits and two vocabularies.
 
-    Drop-in wherever a :class:`~repro.data.preprocess.PreparedDataset` is
-    consumed (``Trainer.fit``, ``DataLoader``, stats, popularity): the same
-    ``train/validation/test``, ``vocab``, ``operations``, ``num_items``
-    surface, backed by arrays instead of Python objects.
+    ``item_ids[i]`` is the raw id of dense item ``i + 1``. The fingerprint
+    is computed on first read (or taken from the header of the file the
+    dataset was loaded from) and is not a constructor argument, so a copy
+    made with ``dataclasses.replace`` digests its own splits.
     """
 
-    def __init__(
-        self,
-        name: str,
-        train: PackedSplit,
-        validation: PackedSplit,
-        test: PackedSplit,
-        item_ids: np.ndarray,
-        operations: OperationVocab,
-        fingerprint: str = "",
-    ) -> None:
-        self.name = name
-        self.train = train
-        self.validation = validation
-        self.test = test
-        self.item_ids = np.asarray(item_ids, dtype=np.int64)
-        self.operations = operations
-        self.fingerprint = fingerprint
-        self._vocab = None
+    name: str
+    train: PackedSplit
+    validation: PackedSplit
+    test: PackedSplit
+    item_ids: np.ndarray
+    operations: OperationVocab
+    _fingerprint: str | None = field(default=None, init=False, repr=False)
 
     @property
     def num_items(self) -> int:
-        return int(self.item_ids.shape[0])
+        return int(len(self.item_ids))
 
     @property
     def num_operations(self) -> int:
         return len(self.operations)
 
-    @property
+    @cached_property
     def vocab(self):
-        """The dense :class:`~repro.data.preprocess.ItemVocab` (lazy)."""
-        if self._vocab is None:
-            from .preprocess import ItemVocab
+        """The dense :class:`~repro.data.preprocess.ItemVocab` (built on first use)."""
+        from .preprocess import ItemVocab
 
-            self._vocab = ItemVocab.from_ordered(self.item_ids.tolist())
-        return self._vocab
+        return ItemVocab.from_ordered(np.asarray(self.item_ids).tolist())
+
+    @property
+    def fingerprint(self) -> str:
+        """:func:`packed_fingerprint` of this dataset (computed once)."""
+        if self._fingerprint is None:
+            self._fingerprint = packed_fingerprint(self)
+        return self._fingerprint
 
     def splits(self) -> dict[str, PackedSplit]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
@@ -427,22 +463,8 @@ class PackedDataset:
     def nbytes(self) -> int:
         return sum(split.nbytes() for split in self.splits().values())
 
-    def to_prepared(self):
-        """Materialize back into a :class:`PreparedDataset` (lossless)."""
-        from .preprocess import PreparedDataset
-
-        return PreparedDataset(
-            name=self.name,
-            train=self.train.to_examples(),
-            validation=self.validation.to_examples(),
-            test=self.test.to_examples(),
-            vocab=self.vocab,
-            operations=self.operations,
-        )
-
-    # -- persistence ----------------------------------------------------
     def save(self, path: str | pathlib.Path) -> pathlib.Path:
-        """Write the single-file packed format atomically.
+        """Write the ``.rpk`` file atomically.
 
         Layout: 8-byte magic, little-endian uint64 header length, JSON
         header, then every array's raw bytes, each 64-byte aligned. Array
@@ -455,10 +477,8 @@ class PackedDataset:
             "item_ids": np.ascontiguousarray(self.item_ids, dtype=np.int64)
         }
         for split_name, split in self.splits().items():
-            for field in _SPLIT_FIELDS:
-                arrays[f"{split_name}/{field}"] = np.ascontiguousarray(
-                    getattr(split, field), dtype=np.int64
-                )
+            for name, column in split.columns().items():
+                arrays[f"{split_name}/{name}"] = np.ascontiguousarray(column, dtype=np.int64)
         meta: dict = {
             "format_version": FORMAT_VERSION,
             "name": self.name,
@@ -509,36 +529,45 @@ def _aligned(offset: int) -> int:
 
 
 def read_packed_header(path: str | pathlib.Path) -> dict:
-    """The JSON header of a packed file (cheap: no array bytes touched)."""
-    with pathlib.Path(path).open("rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise ValueError(f"{path} is not a packed dataset (bad magic {magic!r})")
-        header_len = int.from_bytes(handle.read(8), "little")
-        return json.loads(handle.read(header_len))
+    """The JSON header of a ``.rpk`` file (cheap: no array bytes touched).
 
-
-def is_packed_file(path: str | pathlib.Path) -> bool:
-    """True when ``path`` exists and starts with the packed-format magic."""
+    Raises :class:`~repro.data.schema.DatasetFormatError`, naming ``path``,
+    for anything that is not one: a dataset JSON from an older ``repro
+    prepare``, raw session JSONL, an empty file, a directory.
+    """
     try:
         with pathlib.Path(path).open("rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
+            start = handle.read(len(MAGIC))
+            if start == MAGIC:
+                header_len = int.from_bytes(handle.read(8), "little")
+                return json.loads(handle.read(header_len))
+    except IsADirectoryError:
+        problem = "it is a directory"
+    except ValueError as error:
+        problem = f"its header does not decode ({error})"
+    else:
+        problem = f"it starts with {start!r}, not the magic {MAGIC!r}"
+        if start == b'{"name":':  # json.dumps of the old format's payload
+            problem = "it is a dataset JSON from an older `repro prepare`; re-run `repro prepare`"
+    raise DatasetFormatError(
+        f"cannot load {path}: expected a prepared dataset (the .rpk `repro prepare` writes); {problem}"
+    )
 
 
-def load_packed(path: str | pathlib.Path, mmap: bool = True) -> PackedDataset:
-    """Load a packed dataset, zero-copy by default.
+def load_packed(path: str | pathlib.Path, mmap: bool = True) -> PreparedDataset:
+    """Load a ``.rpk`` file, zero-copy by default.
 
     With ``mmap=True`` every array is a read-only view into one
     ``np.memmap`` of the file — nothing is copied into anonymous memory,
     and forked workers share the file-backed pages. ``mmap=False`` reads
-    the file once into RAM (views of a single buffer).
+    the file once into RAM (views of a single buffer). Neither the
+    vocabulary nor a fingerprint is built here: the header's fingerprint
+    is kept, and ``vocab`` is built on first use.
     """
     path = pathlib.Path(path)
     header = read_packed_header(path)
     if header["format_version"] > FORMAT_VERSION:
-        raise ValueError(
+        raise DatasetFormatError(
             f"{path}: packed format version {header['format_version']} is newer "
             f"than this library supports ({FORMAT_VERSION})"
         )
@@ -558,49 +587,32 @@ def load_packed(path: str | pathlib.Path, mmap: bool = True) -> PackedDataset:
         return view.reshape(spec["shape"])
 
     splits = {
-        split_name: PackedSplit(
-            *(array_of(f"{split_name}/{field}") for field in _SPLIT_FIELDS)
-        )
+        split_name: PackedSplit(*(array_of(f"{split_name}/{name}") for name in _SPLIT_FIELDS))
         for split_name in _SPLIT_NAMES
     }
-    operations = OperationVocab(header["operations"])
     num_items = int(header["num_items"])
-    return PackedDataset(
+    dataset = PreparedDataset(
         name=header["name"],
-        train=splits["train"],
-        validation=splits["validation"],
-        test=splits["test"],
         item_ids=np.arange(1, num_items + 1, dtype=np.int64)
         if "item_ids" not in header["arrays"]
         else array_of("item_ids"),
-        operations=operations,
-        fingerprint=header.get("fingerprint", ""),
+        operations=OperationVocab(header["operations"]),
+        **splits,
     )
+    dataset._fingerprint = header.get("fingerprint") or None
+    return dataset
 
 
-def pack_dataset(dataset) -> PackedDataset:
-    """Pack a :class:`PreparedDataset` (already-packed inputs pass through)."""
-    if isinstance(dataset, PackedDataset):
-        return dataset
-    from .stats import dataset_fingerprint
+def packed_fingerprint(packed: PreparedDataset) -> str:
+    """Stable short hash identifying a prepared dataset's contents.
 
-    return PackedDataset(
-        name=dataset.name,
-        train=PackedSplit.from_examples(dataset.train),
-        validation=PackedSplit.from_examples(dataset.validation),
-        test=PackedSplit.from_examples(dataset.test),
-        item_ids=np.asarray(dataset.vocab.ordered_raw_ids(), dtype=np.int64),
-        operations=dataset.operations,
-        fingerprint=dataset_fingerprint(dataset),
-    )
-
-
-def packed_fingerprint(packed: PackedDataset) -> str:
-    """:func:`~repro.data.stats.dataset_fingerprint` computed from the arrays.
-
-    Byte-for-byte the same digest the object path produces. Examples are
-    rendered ``_FINGERPRINT_CHUNK`` at a time into the text ``json.dumps``
-    writes, straight from the CSR arrays, so memory stays O(chunk).
+    The SHA-256 of the name, the raw item ids in dense order, the
+    operation names and, per split in name order, ``"<split>:<count>"``
+    followed by ``json.dumps([macro_items, op_sequences, target])`` of
+    every example, cut to 16 hex digits. Model artifacts record it, so the
+    digest of the same data never changes. Examples are rendered
+    ``_FINGERPRINT_CHUNK`` at a time into that text straight from the CSR
+    arrays, so memory stays O(chunk).
     """
     digest = hashlib.sha256()
     digest.update(packed.name.encode())

@@ -15,8 +15,10 @@ by one in the batching layer (see ``repro.data.dataset``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
+from .ingest import pack_chunks, session_chunks
+from .packed import PreparedDataset
 from .schema import MacroSession, OperationVocab, Session
 
 __all__ = [
@@ -76,31 +78,8 @@ class ItemVocab:
         return self._to_raw[dense_id]
 
 
-@dataclass
-class PreparedDataset:
-    """A fully preprocessed dataset ready for model training."""
-
-    name: str
-    train: list[MacroSession]
-    validation: list[MacroSession]
-    test: list[MacroSession]
-    vocab: ItemVocab
-    operations: OperationVocab
-
-    @property
-    def num_items(self) -> int:
-        return len(self.vocab)
-
-    @property
-    def num_operations(self) -> int:
-        return len(self.operations)
-
-    def splits(self) -> dict[str, list[MacroSession]]:
-        return {"train": self.train, "validation": self.validation, "test": self.test}
-
-
 def prepare_dataset(
-    sessions: list[Session],
+    sessions: Iterable[Session],
     operations: OperationVocab,
     name: str = "dataset",
     min_support: int = 5,
@@ -112,13 +91,11 @@ def prepare_dataset(
 
     The sessions go through the columnar core
     (:func:`repro.data.ingest.pack_chunks`), the same code that packs a
-    JSONL file, and come back as examples. The vocabulary covers the
-    whole filtered corpus, so every item has an embedding row (test-only
-    items would otherwise be unscoreable; the paper's setup has the same
-    closed item set V).
+    JSONL file, a chunk at a time. The vocabulary covers the whole
+    filtered corpus, so every item has an embedding row (test-only items
+    would otherwise be unscoreable; the paper's setup has the same closed
+    item set V).
     """
-    from .ingest import pack_chunks, session_chunks
-
     return pack_chunks(
         session_chunks(sessions),
         operations,
@@ -127,8 +104,7 @@ def prepare_dataset(
         max_macro_len=max_macro_len,
         split=split,
         seed=seed,
-        fingerprint=False,
-    ).to_prepared()
+    )
 
 
 def augment_prefixes(examples: list[MacroSession]) -> list[MacroSession]:

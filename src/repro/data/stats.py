@@ -2,21 +2,22 @@
 
 The paper reports, per dataset: number of train / validation / test
 sessions, number of items, and total micro-behavior count.
-:func:`dataset_fingerprint` and :func:`popularity_ranking` are the two
-summaries model artifacts embed so a checkpoint can name the data it was
-trained on and serve a degraded popularity ranking with no dataset on disk.
+:func:`popularity_ranking` is, with the dataset's fingerprint
+(:func:`~repro.data.packed.packed_fingerprint`), one of the two summaries
+model artifacts embed, so an artifact can name the data it was trained on
+and serve a degraded popularity ranking with no dataset on disk. Both
+read the CSR arrays of the splits directly.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from collections import Counter
 from dataclasses import dataclass
 
-from .preprocess import PreparedDataset
+import numpy as np
 
-__all__ = ["DatasetStats", "compute_stats", "dataset_fingerprint", "popularity_ranking"]
+from .packed import PreparedDataset
+
+__all__ = ["DatasetStats", "compute_stats", "popularity_ranking"]
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,10 @@ class DatasetStats:
 
 def compute_stats(dataset: PreparedDataset) -> DatasetStats:
     """Aggregate the Table II statistics over all three splits."""
-    all_examples = dataset.train + dataset.validation + dataset.test
-    micro = sum(ex.num_micro_behaviors for ex in all_examples)
-    macro = sum(len(ex) for ex in all_examples)
+    splits = dataset.splits().values()
+    sessions = sum(len(split) for split in splits)
+    macro = sum(split.num_macro_steps for split in splits)
+    micro = sum(split.num_micro_ops for split in splits)
     return DatasetStats(
         name=dataset.name,
         num_train=len(dataset.train),
@@ -60,30 +62,9 @@ def compute_stats(dataset: PreparedDataset) -> DatasetStats:
         num_items=dataset.num_items,
         num_micro_behaviors=micro,
         num_operations=dataset.num_operations,
-        avg_macro_len=macro / max(len(all_examples), 1),
+        avg_macro_len=macro / max(sessions, 1),
         avg_ops_per_item=micro / max(macro, 1),
     )
-
-
-def dataset_fingerprint(dataset: PreparedDataset) -> str:
-    """Stable short hash identifying a prepared dataset's contents.
-
-    Covers the vocabulary (in dense order) and, per split, the example
-    count plus a digest of every example's items/ops/target — enough that
-    any re-preprocessing which would invalidate a trained checkpoint
-    changes the fingerprint, while staying cheap for large corpora.
-    """
-    digest = hashlib.sha256()
-    digest.update(dataset.name.encode())
-    digest.update(json.dumps(dataset.vocab.ordered_raw_ids()).encode())
-    digest.update(json.dumps(list(dataset.operations.names)).encode())
-    for split_name, examples in sorted(dataset.splits().items()):
-        digest.update(f"{split_name}:{len(examples)}".encode())
-        for ex in examples:
-            digest.update(
-                json.dumps([ex.macro_items, ex.op_sequences, ex.target]).encode()
-            )
-    return digest.hexdigest()[:16]
 
 
 def popularity_ranking(dataset: PreparedDataset, limit: int | None = None) -> list[int]:
@@ -92,12 +73,19 @@ def popularity_ranking(dataset: PreparedDataset, limit: int | None = None) -> li
     The tally counts every macro step plus each session's target — the same
     weighting :class:`~repro.serving.PopularityFallback` has always used —
     so a ranking embedded in an artifact answers degraded requests exactly
-    like one computed from the dataset.
+    like one computed from the dataset. Ties go to the item seen first in
+    the stream of each session's macro items followed by its target.
     """
-    tally: Counter[int] = Counter()
-    for example in dataset.train:
-        tally.update(example.macro_items)
-        if example.target is not None:
-            tally[example.target] += 1
-    ranked = tally.most_common(limit)
-    return [dataset.vocab.decode(dense) for dense, _count in ranked]
+    split = dataset.train
+    lo, hi = int(split.session_offsets[0]), int(split.session_offsets[-1])
+    # Session s's macro items move s places right, making room for the
+    # targets of sessions 0..s-1; its target follows its last item.
+    stream = np.empty(hi - lo + len(split), dtype=np.int64)
+    target_at = split.session_offsets[1:] - lo + np.arange(len(split))
+    stream[target_at] = split.targets
+    keep = np.ones(stream.size, dtype=bool)
+    keep[target_at] = False
+    stream[keep] = split.macro_items[lo:hi]
+    dense, first, counts = np.unique(stream, return_index=True, return_counts=True)
+    ranked = dense[np.lexsort((first, -counts))][:limit]
+    return np.asarray(dataset.item_ids)[ranked - 1].tolist()

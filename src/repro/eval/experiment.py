@@ -15,13 +15,14 @@ import numpy as np
 
 from ..autograd import MODEL_DTYPE
 from ..data.dataset import DataLoader
+from ..data.packed import PackedSplit
 from ..data.preprocess import PreparedDataset
 from ..registry import REGISTRY, TABLE3_MODELS
 from .metrics import evaluate_scores
 from .recommender import Recommender
 from .trainer import TrainConfig
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "ExperimentRunner", "MODEL_NAMES"]
+__all__ = ["ExperimentConfig", "ExperimentResult", "ExperimentRunner", "MODEL_NAMES", "score_split"]
 
 MODEL_NAMES = list(TABLE3_MODELS)
 
@@ -81,6 +82,15 @@ class ExperimentConfig:
             grad_shards=self.grad_shards,
             **overrides,
         )
+
+
+def score_split(recommender: Recommender, split: PackedSplit) -> tuple[np.ndarray, np.ndarray]:
+    """``recommender``'s score matrix over ``split`` and the target classes."""
+    scores, targets = [], []
+    for batch in DataLoader(split, batch_size=128):
+        scores.append(recommender.score_batch(batch))
+        targets.append(batch.target_classes)
+    return np.concatenate(scores), np.concatenate(targets)
 
 
 @dataclass
@@ -160,12 +170,7 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def score_on_test(self, recommender: Recommender) -> tuple[np.ndarray, np.ndarray]:
-        loader = DataLoader(self.dataset.test, batch_size=128)
-        scores, targets = [], []
-        for batch in loader:
-            scores.append(recommender.score_batch(batch))
-            targets.append(batch.target_classes)
-        return np.concatenate(scores), np.concatenate(targets)
+        return score_split(recommender, self.dataset.test)
 
     def run(self, name: str, verbose: bool = False) -> ExperimentResult:
         """Fit and evaluate one system; results are cached per name."""

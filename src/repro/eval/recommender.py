@@ -46,19 +46,6 @@ class Recommender(abc.ABC):
             "instead (seconds, not epochs). See docs/registry.md."
         )
 
-    def load(self, dataset: PreparedDataset, path: str | pathlib.Path) -> "Recommender":
-        """Restore state saved by :meth:`save`; the inverse round-trip.
-
-        ``dataset`` supplies the architecture dimensions (vocabulary sizes)
-        the checkpoint was trained with — loading never touches the train
-        split, so a gateway can boot from disk in milliseconds.
-        """
-        raise NotImplementedError(
-            f"{self.name} is non-parametric and cannot load artifacts: "
-            "nothing was ever saved for it — re-fit() it on the dataset "
-            "instead (seconds, not epochs). See docs/registry.md."
-        )
-
     def top_k(self, batch: SessionBatch, k: int) -> np.ndarray:
         """Dense ids of the top-``k`` items per session, best first."""
         return top_k_indices(self.score_batch(batch), k) + 1

@@ -488,7 +488,7 @@ class NeuralRecommender(Recommender):
         self.name = spec.name
         self.train_config = train_config or spec.train_config()
         self.trainer: Trainer | None = None
-        # Dataset context stashed at fit/load time so save() can write a
+        # Dataset context stashed by fit (or read from an artifact) so save() can write a
         # complete artifact: {"item_ids", "name", "fingerprint", "popularity"}.
         self._dataset_info: dict | None = None
 
@@ -522,15 +522,12 @@ class NeuralRecommender(Recommender):
             )
 
     def _stash_dataset_info(self, dataset: PreparedDataset) -> None:
-        from ..data.stats import dataset_fingerprint, popularity_ranking
+        from ..data.stats import popularity_ranking
 
-        # Packed datasets carry their fingerprint (computed at pack time,
-        # identical to the object-path digest); anything else is digested.
-        fingerprint = getattr(dataset, "fingerprint", "") or dataset_fingerprint(dataset)
         self._dataset_info = {
-            "item_ids": dataset.vocab.ordered_raw_ids(),
+            "item_ids": np.asarray(dataset.item_ids).tolist(),
             "name": dataset.name,
-            "fingerprint": fingerprint,
+            "fingerprint": dataset.fingerprint,
             "popularity": popularity_ranking(dataset, limit=_POPULARITY_LIMIT),
         }
 
@@ -556,8 +553,8 @@ class NeuralRecommender(Recommender):
         model = self.model  # raises RuntimeError when unfitted
         if self._dataset_info is None:
             raise RuntimeError(
-                f"{self.name} has no dataset context to persist; fit() or "
-                "load() it before save()"
+                f"{self.name} has no dataset context to persist; fit() it "
+                "before save()"
             )
         metadata = {
             "model": self.name,
@@ -579,36 +576,6 @@ class NeuralRecommender(Recommender):
             item_ids=self._dataset_info["item_ids"],
             metadata=metadata,
         )
-
-    def load(self, dataset: PreparedDataset, path) -> "NeuralRecommender":
-        """Restore weights saved for this architecture.
-
-        Accepts both artifact bundles (validated against this spec — a
-        mismatched architecture raises ``ValueError`` naming the differing
-        fields) and legacy bare-parameter ``.npz`` checkpoints (strict
-        name/shape matching as before).
-        """
-        from ..artifacts import try_load_artifact
-
-        self._check_dims(dataset)
-        bundle = try_load_artifact(path)
-        if bundle is None:
-            from ..nn import load_checkpoint
-
-            model = load_checkpoint(self.build_model(), path)
-        else:
-            mismatched = self.spec.architecture_mismatch(bundle.spec)
-            if mismatched:
-                detail = ", ".join(
-                    f"{name}: artifact={theirs!r} != requested={ours!r}"
-                    for name, (ours, theirs) in sorted(mismatched.items())
-                )
-                raise ValueError(f"artifact {path} does not match this spec ({detail})")
-            model = self.build_model()
-            model.load_state_dict(bundle.weights)
-        self.trainer = Trainer(model, self.train_config, spec=self.spec.to_dict())
-        self._stash_dataset_info(dataset)
-        return self
 
     @classmethod
     def from_artifact(cls, artifact, train_config: TrainConfig | None = None) -> "NeuralRecommender":

@@ -12,7 +12,8 @@ import itertools
 from dataclasses import dataclass, replace
 
 from ..data.preprocess import PreparedDataset
-from .experiment import ExperimentConfig, ExperimentRunner
+from .experiment import ExperimentConfig, ExperimentRunner, score_split
+from .metrics import evaluate_scores
 
 __all__ = ["GridPoint", "GridSearchResult", "grid_search", "PAPER_LR_GRID", "PAPER_DROPOUT_GRID"]
 
@@ -46,32 +47,22 @@ def grid_search(
     dataset: PreparedDataset,
     model_name: str,
     base_config: ExperimentConfig,
-    lrs: tuple[float, ...] = (0.003, 0.005, 0.008),
-    dropouts: tuple[float, ...] = (0.1,),
+    lrs: tuple[float, ...] = PAPER_LR_GRID,
+    dropouts: tuple[float, ...] = PAPER_DROPOUT_GRID,
     metric: str = "M@20",
 ) -> GridSearchResult:
     """Fit ``model_name`` for every (lr, dropout) pair; select on validation.
 
-    Uses a fresh :class:`ExperimentRunner` per point so no state leaks
-    between configurations. Deliberately evaluates on the *validation*
-    split — the test split stays untouched for the final comparison.
+    The default grid is the paper's (30 fits). Uses a fresh
+    :class:`ExperimentRunner` per point so no state leaks between
+    configurations. Deliberately evaluates on the *validation* split — the
+    test split stays untouched for the final comparison.
     """
-    from ..data.dataset import DataLoader
-    from .metrics import evaluate_scores
-
     points: list[GridPoint] = []
     for lr, dropout in itertools.product(lrs, dropouts):
         config = replace(base_config, lr=lr, dropout=dropout)
-        runner = ExperimentRunner(dataset, config)
-        recommender = runner.build(model_name)
+        recommender = ExperimentRunner(dataset, config).build(model_name)
         recommender.fit(dataset)
-        loader = DataLoader(dataset.validation, batch_size=128)
-        import numpy as np
-
-        scores, targets = [], []
-        for batch in loader:
-            scores.append(recommender.score_batch(batch))
-            targets.append(batch.target_classes)
-        metrics = evaluate_scores(np.concatenate(scores), np.concatenate(targets))
+        metrics = evaluate_scores(*score_split(recommender, dataset.validation))
         points.append(GridPoint(lr=lr, dropout=dropout, valid_metric=metrics[metric]))
     return GridSearchResult(model=model_name, metric=metric, points=points)

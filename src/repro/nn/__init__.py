@@ -19,7 +19,6 @@ from .loss import cross_entropy
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, StepLR, clip_grad_norm
 from .rnn import GRU, GRUCell
-from .serialization import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Module",
@@ -42,8 +41,6 @@ __all__ = [
     "Adam",
     "StepLR",
     "clip_grad_norm",
-    "save_checkpoint",
-    "load_checkpoint",
     "scaled_uniform",
     "xavier_uniform",
     "normal",

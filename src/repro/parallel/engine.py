@@ -59,7 +59,6 @@ import numpy as np
 
 from ..autograd import default_dtype, no_grad
 from ..data.dataset import CollateBuffers, DataLoader, SessionBatch
-from ..data.packed import PackedSplit
 from .sharding import (
     ParamLayout,
     collect_rng_modules,
@@ -232,8 +231,8 @@ class DataParallelEngine(_ShardGrid):
     the dataset, and the mapped segments; nothing is pickled). Use as a
     context manager, or call :meth:`shutdown` in a ``finally``.
 
-    ``eval_splits`` maps split names to packed splits or example lists
-    (packed once, before the fork); :meth:`predict`
+    ``eval_splits`` maps split names to packed splits
+    (:class:`~repro.data.PackedSplit`); :meth:`predict`
     fans whole batches of a registered split across the workers and
     returns ``(scores, target_classes)`` exactly like ``Trainer.predict``.
     """
@@ -266,12 +265,9 @@ class DataParallelEngine(_ShardGrid):
         self.dtype = dtype
         self.timeout = timeout
         self.num_items = num_items
-        # Eval splits are CSR arrays, packed here before the fork, so the
-        # workers share the file-backed/COW pages of one copy.
-        self._eval_splits = [
-            (name, split if isinstance(split, PackedSplit) else PackedSplit.from_examples(split))
-            for name, split in (eval_splits or {}).items()
-        ]
+        # Eval splits are CSR arrays held before the fork, so the workers
+        # share the file-backed/COW pages of one copy.
+        self._eval_splits = list((eval_splits or {}).items())
         self._split_index = {name: i for i, (name, _) in enumerate(self._eval_splits)}
         self._arena = SharedArena()
         self._procs: list = []

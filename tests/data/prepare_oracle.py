@@ -1,17 +1,73 @@
-"""The object-loop preprocessing, kept as the oracle for the columnar core.
+"""The object path, kept as the oracle for the columnar dataset.
 
-This is the loop ``prepare_dataset`` ran before it reduced to
-:func:`repro.data.ingest.pack_chunks`: filter items under ``min_support``,
-permute the surviving sessions with the seed, cut 70/10/20, merge
-successive micro-behaviours, split off the last macro item as the target
-and keep the last ``max_macro_len`` inputs. Tests compare the core with it.
+:class:`ObjectDataset` is the form a prepared dataset had before the CSR
+splits became the only one: three lists of examples. Two oracles read it:
+
+* :func:`prepare_dataset_loop` is the loop ``prepare_dataset`` ran before
+  it reduced to :func:`repro.data.ingest.pack_chunks`: filter items under
+  ``min_support``, permute the surviving sessions with the seed, cut
+  70/10/20, merge successive micro-behaviours, split off the last macro
+  item as the target and keep the last ``max_macro_len`` inputs;
+* :func:`dataset_fingerprint` is the digest model artifacts record,
+  computed with ``json.dumps`` per example.
+
+:func:`pack` turns one into a :class:`~repro.data.PreparedDataset`.
 """
 
+import hashlib
+import json
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data import ItemVocab, MacroSession, PreparedDataset, Session, merge_successive
+from repro.data import (
+    ItemVocab,
+    MacroSession,
+    OperationVocab,
+    PackedSplit,
+    PreparedDataset,
+    Session,
+    merge_successive,
+)
+
+
+@dataclass
+class ObjectDataset:
+    """A prepared dataset whose splits are lists of examples."""
+
+    name: str
+    train: list[MacroSession]
+    validation: list[MacroSession]
+    test: list[MacroSession]
+    vocab: ItemVocab
+    operations: OperationVocab
+
+    def splits(self) -> dict[str, list[MacroSession]]:
+        return {"train": self.train, "validation": self.validation, "test": self.test}
+
+
+def pack(dataset: ObjectDataset) -> PreparedDataset:
+    """The CSR dataset holding the same examples."""
+    return PreparedDataset(
+        dataset.name,
+        *(PackedSplit.from_examples(examples) for examples in dataset.splits().values()),
+        item_ids=np.asarray(dataset.vocab.ordered_raw_ids(), dtype=np.int64),
+        operations=dataset.operations,
+    )
+
+
+def dataset_fingerprint(dataset) -> str:
+    """The fingerprint, one ``json.dumps`` per materialised example."""
+    digest = hashlib.sha256()
+    digest.update(dataset.name.encode())
+    digest.update(json.dumps(dataset.vocab.ordered_raw_ids()).encode())
+    digest.update(json.dumps(list(dataset.operations.names)).encode())
+    for split_name, examples in sorted(dataset.splits().items()):
+        digest.update(f"{split_name}:{len(examples)}".encode())
+        for ex in examples:
+            digest.update(json.dumps([ex.macro_items, ex.op_sequences, ex.target]).encode())
+    return digest.hexdigest()[:16]
 
 
 def filter_items(sessions: list[Session], min_support: int) -> list[Session]:
@@ -41,7 +97,7 @@ def to_example(session: Session, vocab: ItemVocab, max_macro_len: int) -> MacroS
 
 def prepare_dataset_loop(
     sessions, operations, name="dataset", min_support=5, max_macro_len=20, split=(0.7, 0.1, 0.2), seed=0
-) -> PreparedDataset:
+) -> ObjectDataset:
     filtered = filter_items(sessions, min_support)
     order = np.random.default_rng(seed).permutation(len(filtered))
     n_train = int(len(filtered) * split[0])
@@ -56,4 +112,4 @@ def prepare_dataset_loop(
     for split_name, split_sessions in groups.items():
         converted = (to_example(s, vocab, max_macro_len) for s in split_sessions)
         examples[split_name] = [m for m in converted if m is not None]
-    return PreparedDataset(name=name, vocab=vocab, operations=operations, **examples)
+    return ObjectDataset(name=name, vocab=vocab, operations=operations, **examples)

@@ -3,9 +3,9 @@
 Corpora have consecutive repeats (A A B A), sessions that filter to
 nothing or to one macro item, inputs from ``max_macro_len - 1`` to
 ``max_macro_len + 2`` macro steps, raw ids up to 2**62 and blank lines.
-Every run checks the JSONL route, the ``Session`` route, ``to_prepared()``
-and ``packed_fingerprint == dataset_fingerprint`` at one ``min_support``
-and one chunk size.
+Every run checks the JSONL route, the ``Session`` route (``prepare_dataset``),
+the examples the splits materialise and ``packed_fingerprint ==
+dataset_fingerprint`` at one ``min_support`` and one chunk size.
 """
 
 import json
@@ -22,18 +22,14 @@ from repro.data import (
     Interaction,
     ItemVocab,
     MacroSession,
-    PreparedDataset,
     Session,
-    pack_dataset,
     pack_sessions_jsonl,
-    pack_sessions_stream,
     packed_fingerprint,
     prepare_dataset,
 )
 from repro.data import ingest, packed
-from repro.data.stats import dataset_fingerprint
 
-from .prepare_oracle import prepare_dataset_loop
+from .prepare_oracle import ObjectDataset, dataset_fingerprint, pack, prepare_dataset_loop
 
 MAX_MACRO_LEN = 4
 CSR_FIELDS = ("session_offsets", "macro_items", "op_offsets", "op_ids", "targets", "session_ids")
@@ -92,21 +88,19 @@ def as_tuples(examples):
 def test_core_equals_the_object_loop(sessions, min_support, chunk, seed, blanks):
     options = dict(name="diff", min_support=min_support, max_macro_len=MAX_MACRO_LEN, seed=seed)
     oracle = prepare_dataset_loop(sessions, JD_OPERATIONS, **options)
-    expected = pack_dataset(oracle)
+    expected = pack(oracle)
     with mock.patch.object(ingest, "_CHUNK", chunk), tempfile.TemporaryDirectory() as directory:
         path = pathlib.Path(directory) / "sessions.jsonl"
         write_jsonl(path, sessions, blanks)
         from_jsonl = pack_sessions_jsonl(path, JD_OPERATIONS, **options)
-        from_sessions = pack_sessions_stream(lambda: sessions, JD_OPERATIONS, **options)
-        prepared = prepare_dataset(sessions, JD_OPERATIONS, **options)
+        from_sessions = prepare_dataset(iter(sessions), JD_OPERATIONS, **options)
 
     for got in (from_jsonl, from_sessions):
         assert_packed_equal(got, expected)
         assert got.fingerprint == dataset_fingerprint(oracle)
-    assert prepared.vocab.ordered_raw_ids() == oracle.vocab.ordered_raw_ids()
-    for split_name, examples in oracle.splits().items():
-        assert as_tuples(prepared.splits()[split_name]) == as_tuples(examples)
-        assert as_tuples(from_jsonl.to_prepared().splits()[split_name]) == as_tuples(examples)
+        assert got.vocab.ordered_raw_ids() == oracle.vocab.ordered_raw_ids()
+        for split_name, examples in oracle.splits().items():
+            assert as_tuples(got.splits()[split_name]) == as_tuples(examples)
 
 
 examples = st.builds(
@@ -128,6 +122,6 @@ examples = st.builds(
 def test_fingerprint_of_arrays_equals_fingerprint_of_examples(splits, vocab, chunk):
     """Any examples — empty inputs, empty op runs, negative and huge ids —
     digest the same from arrays as from ``json.dumps`` per example."""
-    dataset = PreparedDataset("any", *splits, vocab=ItemVocab(vocab), operations=JD_OPERATIONS)
+    dataset = ObjectDataset("any", *splits, vocab=ItemVocab(vocab), operations=JD_OPERATIONS)
     with mock.patch.object(packed, "_FINGERPRINT_CHUNK", chunk):
-        assert packed_fingerprint(pack_dataset(dataset)) == dataset_fingerprint(dataset)
+        assert packed_fingerprint(pack(dataset)) == dataset_fingerprint(dataset)

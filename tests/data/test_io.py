@@ -1,4 +1,4 @@
-"""Tests for dataset I/O: CSV event logs and JSONL/JSON persistence."""
+"""Tests for dataset I/O: CSV event logs, session JSONL and ``.rpk`` persistence."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,10 @@ from repro.data import (
     generate_dataset,
     jd_appliances_config,
     load_event_log,
-    load_prepared_dataset,
+    load_packed,
     load_sessions_jsonl,
     load_trivago_log,
     prepare_dataset,
-    save_prepared_dataset,
     save_sessions_jsonl,
 )
 from repro.data.schema import OperationVocab
@@ -104,9 +103,9 @@ class TestJSONLRoundtrip:
         dataset = prepare_dataset(
             generate_dataset(cfg, 120, seed=4), cfg.operations, name="jd", min_support=2
         )
-        path = tmp_path / "dataset.json"
-        save_prepared_dataset(dataset, path)
-        loaded = load_prepared_dataset(path)
+        path = tmp_path / "dataset.rpk"
+        dataset.save(path)
+        loaded = load_packed(path)
         assert loaded.name == dataset.name
         assert loaded.num_items == dataset.num_items
         assert len(loaded.train) == len(dataset.train)

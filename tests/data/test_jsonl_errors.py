@@ -155,7 +155,7 @@ def test_int64_limits_and_non_canonical_spacing_are_accepted(chunk, tmp_path):
 def test_cli_pack_prints_one_line_and_exits_1(tmp_path, capsys):
     path = write(tmp_path / "bad.jsonl", [GOOD, BAD_LINES["float item"][0]])
     out = tmp_path / "out.rpk"
-    assert main(["data", "pack", str(path), str(out), "--config", "jd-appliances"]) == 1
+    assert main(["prepare", "--config", "jd-appliances", "--input", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip()
     assert err.count("\n") == 0
     assert err.startswith(f"{path}, line 2: event 1 item must be an integer")

@@ -3,9 +3,11 @@
 The contract under test (docs/data.md): the vectorized collate over CSR
 arrays is **bitwise-identical** to the per-example loop collate under every
 combination of truncation, forced padding and buffer reuse, every
-``DataLoader`` batch is the loop collate of its chunk, and a pack → save →
-memmap-load → to_prepared round trip is lossless.
+``DataLoader`` batch is the loop collate of its chunk, a slice of a split
+is a view, and a prepare → save → memmap-load round trip is lossless.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from repro.data import (
     jd_appliances_config,
     jd_computers_config,
     load_packed,
-    pack_dataset,
     prepare_dataset,
     trivago_config,
 )
 from repro.data.dataset import CollateBuffers, DataLoader, collate, padded_dims
 from repro.data.packed import PackedSplit, packed_padded_dims, read_packed_header
 from repro.data.schema import MacroSession
-from repro.data.stats import dataset_fingerprint
+
+from .prepare_oracle import dataset_fingerprint
 
 FIELDS = (
     "items",
@@ -53,9 +55,8 @@ def dataset():
     )
 
 
-@pytest.fixture(scope="module")
-def packed(dataset):
-    return pack_dataset(dataset)
+def as_tuples(examples):
+    return [(ex.macro_items, ex.op_sequences, ex.target, ex.session_id) for ex in examples]
 
 
 def random_ragged_examples(seed, count=40):
@@ -136,11 +137,11 @@ def test_collate_rejects_empty_and_undersized_pad():
         split.collate([0, 1], max_ops_per_item=6, pad_to=(1, 1, 1))
 
 
-def test_collate_parity_on_prepared_dataset(dataset, packed):
+def test_collate_parity_on_prepared_dataset(dataset):
     rng = np.random.default_rng(9)
     for split_name in ("train", "validation", "test"):
-        objs = getattr(dataset, split_name)
-        csr = getattr(packed, split_name)
+        csr = getattr(dataset, split_name)
+        objs = csr.to_examples()
         idx = rng.permutation(len(objs))[:64]
         loop = collate([objs[i] for i in idx], max_ops_per_item=6)
         vec = csr.collate(idx, max_ops_per_item=6)
@@ -151,10 +152,10 @@ def test_collate_parity_on_prepared_dataset(dataset, packed):
 # DataLoader: every batch is the loop collate of its chunk
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kwargs", [{}, {"reuse_buffers": True}])
-def test_loader_parity_object_vs_packed(dataset, packed, kwargs):
+def test_loader_parity_object_vs_packed(dataset, kwargs):
     """A list and a PackedSplit both batch through the vectorized collate;
     each batch is the oracle ``collate`` of its materialised chunk."""
-    for split in (dataset.train, packed.train):
+    for split in (dataset.train.to_examples(), dataset.train):
         loader = DataLoader(split, batch_size=19, shuffle=True, seed=4, **kwargs)
         for epoch in range(2):
             order = loader.permutation(epoch)
@@ -167,9 +168,9 @@ def test_loader_parity_object_vs_packed(dataset, packed, kwargs):
             assert count == len(starts) == len(loader)
 
 
-def test_loader_collate_indices_and_subset_dims(dataset, packed):
-    lo = DataLoader(dataset.train, batch_size=16, max_ops_per_item=6)
-    lp = DataLoader(packed.train, batch_size=16, max_ops_per_item=6)
+def test_loader_collate_indices_and_subset_dims(dataset):
+    lo = DataLoader(dataset.train.to_examples(), batch_size=16, max_ops_per_item=6)
+    lp = DataLoader(dataset.train, batch_size=16, max_ops_per_item=6)
     idx = [3, 0, 17, 5]
     chunk = [dataset.train[i] for i in idx]
     assert lo.subset_dims(idx) == lp.subset_dims(idx) == padded_dims(chunk, 6)
@@ -184,19 +185,62 @@ def test_loader_collate_indices_and_subset_dims(dataset, packed):
 # ----------------------------------------------------------------------
 # PackedSplit sequence surface + round trips
 # ----------------------------------------------------------------------
-def test_packed_split_behaves_like_a_sequence(dataset, packed):
-    split = packed.train
-    assert len(split) == len(dataset.train)
+def test_packed_split_behaves_like_a_sequence(dataset):
+    split = dataset.train
+    examples = split.to_examples()
+    assert len(split) == len(examples)
     for i in (0, 1, len(split) - 1, -1):
         ex = split[i]
-        ref = dataset.train[i]
+        ref = examples[i]
         assert ex.macro_items == ref.macro_items
         assert ex.op_sequences == ref.op_sequences
         assert ex.target == ref.target
         assert ex.session_id == ref.session_id
     with pytest.raises(IndexError):
         split[len(split)]
-    assert sum(1 for _ in split) == len(split)
+    assert as_tuples(split) == as_tuples(examples)
+
+
+@pytest.mark.parametrize("bounds", [(0, 10), (5, 40), (-12, None), (30, 30), (None, None)])
+def test_slice_is_a_view(dataset, bounds):
+    """``split[a:b]`` shares the value arrays, holds the same sessions as
+    the list slice, and batches bit-identically to them."""
+    split = dataset.test
+    piece = split[slice(*bounds)]
+    expected = split.to_examples()[slice(*bounds)]
+    assert isinstance(piece, PackedSplit)
+    for name in ("macro_items", "op_offsets", "op_ids"):
+        assert getattr(piece, name) is getattr(split, name)
+    assert np.shares_memory(piece.session_offsets, split.session_offsets)
+    assert len(piece) == len(expected)
+    assert as_tuples(piece) == as_tuples(expected)
+    assert piece.num_macro_steps == sum(len(ex) for ex in expected)
+    assert piece.num_micro_ops == sum(ex.num_micro_behaviors for ex in expected)
+    if expected:
+        assert np.shares_memory(piece.targets, split.targets)
+        assert np.shares_memory(piece.session_ids, split.session_ids)
+        rows = np.arange(len(expected))[::-1]
+        loop = collate([expected[i] for i in rows], max_ops_per_item=6)
+        assert_batches_identical(loop, piece.collate(rows, max_ops_per_item=6))
+        assert as_tuples(piece[1::3]) == as_tuples(expected[1::3])
+
+
+def test_saved_slice_is_compact(tmp_path, dataset):
+    """A dataset of slice views saves offsets from 0 and loads back the
+    same sessions and the fingerprint of those sessions."""
+    view = dataclasses.replace(
+        dataset, train=dataset.train[7:50], validation=dataset.validation[3:], test=dataset.test[:9]
+    )
+    path = tmp_path / "view.rpk"
+    view.save(path)
+    loaded = load_packed(path)
+    for name in ("train", "validation", "test"):
+        got, want = getattr(loaded, name), getattr(view, name)
+        assert got.session_offsets[0] == 0 and got.op_offsets[0] == 0
+        assert got.macro_items.size == want.num_macro_steps
+        assert got.op_ids.size == want.num_micro_ops
+        assert as_tuples(got) == as_tuples(want)
+    assert loaded.fingerprint == view.fingerprint == dataset_fingerprint(view)
 
 
 def test_from_examples_requires_targets():
@@ -228,37 +272,29 @@ def test_select_reorders_losslessly():
     ],
 )
 def test_memmap_round_trip_all_personas(tmp_path, config_fn, sparsity):
-    """pack → save → load (memmap and in-memory) → to_prepared is lossless
-    across every synthetic persona/sparsity configuration."""
+    """prepare → save → load (memmap and in-memory) is lossless across
+    every synthetic persona/sparsity configuration."""
     cfg = config_fn(sparsity=sparsity)
     ds = prepare_dataset(
         generate_dataset(cfg, 150, seed=2), cfg.operations, min_support=2, name=cfg.name
     )
-    packed = pack_dataset(ds)
     path = tmp_path / "ds.rpk"
-    packed.save(path)
+    ds.save(path)
     for mmap in (True, False):
-        loaded = load_packed(path, mmap=mmap)
-        assert loaded.fingerprint == packed.fingerprint == dataset_fingerprint(ds)
-        back = loaded.to_prepared()
+        back = load_packed(path, mmap=mmap)
+        assert back.fingerprint == ds.fingerprint == dataset_fingerprint(ds)
         assert back.vocab.ordered_raw_ids() == ds.vocab.ordered_raw_ids()
         assert list(back.operations.names) == list(ds.operations.names)
         assert dataset_fingerprint(back) == dataset_fingerprint(ds)
         for split_name in ("train", "validation", "test"):
             a, b = getattr(ds, split_name), getattr(back, split_name)
             assert len(a) == len(b)
-            for x, y in zip(a, b):
-                assert (x.macro_items, x.op_sequences, x.target, x.session_id) == (
-                    y.macro_items,
-                    y.op_sequences,
-                    y.target,
-                    y.session_id,
-                )
+            assert as_tuples(a) == as_tuples(b)
 
 
-def test_memmap_arrays_are_file_backed(tmp_path, packed):
+def test_memmap_arrays_are_file_backed(tmp_path, dataset):
     path = tmp_path / "ds.rpk"
-    packed.save(path)
+    dataset.save(path)
     loaded = load_packed(path, mmap=True)
     base = loaded.train.macro_items
     seen_memmap = False
@@ -268,31 +304,31 @@ def test_memmap_arrays_are_file_backed(tmp_path, packed):
     assert seen_memmap
     # Loader batches straight off the memmap views.
     batch = DataLoader(loaded.train, batch_size=32).collate_indices(range(32))
-    ref = DataLoader(packed.train, batch_size=32).collate_indices(range(32))
+    ref = DataLoader(dataset.train, batch_size=32).collate_indices(range(32))
     assert_batches_identical(batch, ref)
 
 
-def test_header_round_trip_and_magic(tmp_path, packed):
+def test_header_round_trip_and_magic(tmp_path, dataset):
     path = tmp_path / "ds.rpk"
-    packed.save(path)
+    dataset.save(path)
     header = read_packed_header(path)
     assert header["format_version"] == 1
-    assert header["name"] == packed.name
-    assert header["fingerprint"] == packed.fingerprint
-    assert header["splits"]["train"]["sessions"] == len(packed.train)
+    assert header["name"] == dataset.name
+    assert header["fingerprint"] == dataset.fingerprint
+    assert header["splits"]["train"]["sessions"] == len(dataset.train)
     bogus = tmp_path / "not_packed.json"
     bogus.write_text("{}")
     with pytest.raises(ValueError, match="magic"):
         read_packed_header(bogus)
 
 
-def test_future_format_version_rejected(tmp_path, packed):
+def test_future_format_version_rejected(tmp_path, dataset):
     import json
 
     from repro.data.packed import MAGIC
 
     path = tmp_path / "ds.rpk"
-    packed.save(path)
+    dataset.save(path)
     raw = bytearray(path.read_bytes())
     header_len = int.from_bytes(raw[8:16], "little")
     header = json.loads(bytes(raw[16 : 16 + header_len]))
@@ -307,7 +343,7 @@ def test_future_format_version_rejected(tmp_path, packed):
         load_packed(path)
 
 
-def test_save_is_atomic(tmp_path, packed):
+def test_save_is_atomic(tmp_path, dataset):
     """A crash mid-write must never leave a truncated packed file behind."""
     from repro import reliability as rel
 
@@ -315,7 +351,7 @@ def test_save_is_atomic(tmp_path, packed):
     rel.arm("serialization.mid_write", rel.crashing())
     try:
         with pytest.raises(rel.SimulatedCrash):
-            packed.save(path)
+            dataset.save(path)
     finally:
         rel.disarm_all()
     assert not path.exists()

@@ -1,9 +1,9 @@
-"""JSONL/CSV → packed ingest: equality with the eager path, bounded memory.
+"""JSONL/CSV → packed ingest: equality with the ``Session`` route, bounded memory.
 
-``pack_sessions_jsonl`` and ``pack_sessions_stream`` must reproduce
-``prepare_dataset`` + ``pack_dataset`` array-for-array under the same seed —
-same item-support filter, same vocabulary, same split permutation, same
-example drops — while Python objects live only for the chunk being parsed.
+``pack_sessions_jsonl`` must reproduce ``prepare_dataset`` array-for-array
+under the same seed — same item-support filter, same vocabulary, same
+split permutation, same example drops — while Python objects live only
+for the chunk being parsed.
 """
 
 import gc
@@ -20,9 +20,8 @@ from repro.data import (
     iter_sessions_jsonl,
     jd_appliances_config,
     load_sessions_jsonl,
-    pack_dataset,
     pack_sessions_jsonl,
-    pack_sessions_stream,
+    packed_fingerprint,
     prepare_dataset,
     save_sessions_jsonl,
     trivago_config,
@@ -49,11 +48,7 @@ def test_stream_ingest_equals_eager_pipeline(tmp_path, config_fn, min_support):
     path = tmp_path / "sessions.jsonl"
     save_sessions_jsonl(sessions, path)
 
-    eager = pack_dataset(
-        prepare_dataset(
-            sessions, cfg.operations, min_support=min_support, name=cfg.name, seed=3
-        )
-    )
+    eager = prepare_dataset(sessions, cfg.operations, min_support=min_support, name=cfg.name, seed=3)
     streamed = pack_sessions_jsonl(
         path, cfg.operations, min_support=min_support, name=cfg.name, seed=3
     )
@@ -62,19 +57,21 @@ def test_stream_ingest_equals_eager_pipeline(tmp_path, config_fn, min_support):
 
 
 def test_stream_ingest_fingerprint_skip(tmp_path):
+    """A pack skips the fingerprint pass until the fingerprint is read."""
     cfg = jd_appliances_config()
     sessions = generate_dataset(cfg, 100, seed=1)
     path = tmp_path / "sessions.jsonl"
     save_sessions_jsonl(sessions, path)
-    packed = pack_sessions_jsonl(path, cfg.operations, min_support=2, fingerprint=False)
-    assert packed.fingerprint == ""
+    packed = pack_sessions_jsonl(path, cfg.operations, min_support=2)
+    assert packed._fingerprint is None
     assert len(packed.train) > 0
+    assert packed.fingerprint == packed_fingerprint(packed) == packed._fingerprint
 
 
 def test_stream_ingest_rejects_bad_split():
     cfg = jd_appliances_config()
     with pytest.raises(ValueError, match="sum to 1"):
-        pack_sessions_stream(lambda: [], cfg.operations, split=(0.5, 0.1, 0.1))
+        prepare_dataset([], cfg.operations, split=(0.5, 0.1, 0.1))
 
 
 def test_iter_sessions_jsonl_matches_eager_loader(tmp_path):
@@ -168,9 +165,8 @@ def _traced_pack(path):
 def test_pack_working_memory_does_not_grow_with_the_corpus(tmp_path):
     """Traced peak minus the output's bytes, at 5,000 and 20,000 sessions.
 
-    Beyond its output a pack holds one chunk's JSON objects, the
-    fingerprint's chunk of tokens and the parsed corpus as compact codes
-    (a few bytes per event). From 5,000 to 20,000 sessions that working
+    Beyond its output a pack holds one chunk's JSON objects and the
+    parsed corpus as compact codes (a few bytes per event). From 5,000 to 20,000 sessions that working
     set may grow by at most half of what the output grows by: a reader
     that kept ``Session`` objects (~10x the output) or a pool copied into
     the splits (1x) fails this."""
@@ -220,8 +216,6 @@ def test_stream_ingest_drops_short_sessions_like_prepare(tmp_path):
     sessions = generate_dataset(cfg, 300, seed=8)
     path = tmp_path / "sessions.jsonl"
     save_sessions_jsonl(sessions, path)
-    eager = pack_dataset(
-        prepare_dataset(sessions, cfg.operations, min_support=8, name="jd", seed=0)
-    )
+    eager = prepare_dataset(sessions, cfg.operations, min_support=8, name="jd", seed=0)
     streamed = pack_sessions_jsonl(path, cfg.operations, min_support=8, name="jd", seed=0)
     assert_packed_equal(eager, streamed)

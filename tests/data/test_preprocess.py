@@ -52,8 +52,9 @@ class TestPrepareDataset:
             prepare_dataset([], JD_OPERATIONS, split=(0.5, 0.5, 0.5))
 
     def test_targets_valid_dense_ids(self, dataset):
-        for ex in dataset.train + dataset.validation + dataset.test:
-            assert 1 <= ex.target <= dataset.num_items
+        for split in dataset.splits().values():
+            for ex in split:
+                assert 1 <= ex.target <= dataset.num_items
 
     def test_no_single_item_sessions(self, dataset):
         for ex in dataset.train:

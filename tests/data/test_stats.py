@@ -5,7 +5,6 @@ import pytest
 from repro.data import (
     Interaction,
     MacroSession,
-    PreparedDataset,
     Session,
     compute_stats,
     generate_dataset,
@@ -15,19 +14,21 @@ from repro.data import (
 from repro.data.preprocess import ItemVocab
 from repro.data.schema import JD_OPERATIONS
 
+from .prepare_oracle import ObjectDataset, pack
+
 
 class TestComputeStats:
     def test_counts_all_splits(self):
         vocab = ItemVocab([1, 2, 3])
         ex = MacroSession([1, 2], [[0], [1, 2]], target=3)
-        ds = PreparedDataset(
+        ds = pack(ObjectDataset(
             name="toy",
             train=[ex],
             validation=[ex],
             test=[ex, ex],
             vocab=vocab,
             operations=JD_OPERATIONS,
-        )
+        ))
         stats = compute_stats(ds)
         assert stats.num_train == 1
         assert stats.num_validation == 1
@@ -46,14 +47,14 @@ class TestComputeStats:
             assert key in row
 
     def test_empty_dataset_safe(self):
-        ds = PreparedDataset(
+        ds = pack(ObjectDataset(
             name="empty",
             train=[],
             validation=[],
             test=[],
             vocab=ItemVocab([]),
             operations=JD_OPERATIONS,
-        )
+        ))
         stats = compute_stats(ds)
         assert stats.avg_macro_len == 0
         assert stats.avg_ops_per_item == 0

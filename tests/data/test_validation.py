@@ -3,20 +3,22 @@
 import pytest
 
 from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
-from repro.data.preprocess import ItemVocab, PreparedDataset
+from repro.data.preprocess import ItemVocab
 from repro.data.schema import JD_OPERATIONS, MacroSession
 from repro.data.validation import validate_dataset
 
+from .prepare_oracle import ObjectDataset, pack
+
 
 def make_dataset(examples):
-    return PreparedDataset(
+    return pack(ObjectDataset(
         name="toy",
         train=examples,
         validation=[],
         test=[],
         vocab=ItemVocab(list(range(100, 110))),  # 10 items -> dense 1..10
         operations=JD_OPERATIONS,
-    )
+    ))
 
 
 class TestValidateDataset:

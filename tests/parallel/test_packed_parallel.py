@@ -10,7 +10,7 @@ lists.
 import numpy as np
 import pytest
 
-from repro.data.packed import load_packed, pack_dataset
+from repro.data.packed import load_packed
 from repro.eval import ExperimentConfig, ExperimentRunner
 
 
@@ -44,7 +44,7 @@ def _assert_states_equal(state, ref):
 def test_two_workers_from_memmap_file_bit_identical(tmp_path, dataset, reference):
     """Training straight off a memmap-loaded .rpk file: same parameters."""
     path = tmp_path / "jd.rpk"
-    pack_dataset(dataset).save(path)
+    dataset.save(path)
     loaded = load_packed(path, mmap=True)
     state = _fit(loaded, workers=2)
     _assert_states_equal(state, reference)
@@ -55,6 +55,5 @@ def test_packed_splits_stay_unmaterialized(dataset):
     re-pack it) — that is the whole memory win of the memmap path."""
     from repro.data.dataset import DataLoader
 
-    packed = pack_dataset(dataset)
-    loader = DataLoader(packed.train, batch_size=32)
-    assert loader.examples is packed.train  # not list(...), not re-packed
+    loader = DataLoader(dataset.train, batch_size=32)
+    assert loader.examples is dataset.train  # not list(...), not re-packed

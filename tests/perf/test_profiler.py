@@ -148,18 +148,12 @@ def test_profile_cli_smoke(tmp_path, capsys):
     """`repro profile` prints the table and writes JSON."""
     pytest.importorskip("repro.cli")
     from repro.cli import main
-    from repro.data import (
-        generate_dataset,
-        jd_appliances_config,
-        prepare_dataset,
-        save_prepared_dataset,
-    )
+    from repro.data import generate_dataset, jd_appliances_config, prepare_dataset
 
     cfg = jd_appliances_config()
     sessions = generate_dataset(cfg, 120, seed=0)
     dataset = prepare_dataset(sessions, cfg.operations, name="t", min_support=2, seed=0)
-    dataset_path = tmp_path / "d.json"
-    save_prepared_dataset(dataset, dataset_path)
+    dataset_path = dataset.save(tmp_path / "d.rpk")
     json_path = tmp_path / "prof.json"
     code = main(
         [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import reliability as rel
-from repro.nn import Linear, Module, load_checkpoint, save_checkpoint
+from repro.artifacts import load_artifact, save_artifact
 from repro.reliability import atomic_save_npz, atomic_write
 
 
@@ -68,37 +68,44 @@ class TestAtomicSaveNpz:
         assert not (tmp_path / "checkpoint.npz").exists()
 
 
-class _Tiny(Module):
-    def __init__(self, scale=1.0):
-        super().__init__()
-        self.fc = Linear(4, 3, rng=np.random.default_rng(0))
-        self.fc.weight.data *= scale
+def _weights(spec, scale):
+    from repro.registry import build_module
+
+    return {name: array * scale for name, array in build_module(spec).state_dict().items()}
+
+
+def _save(path, spec, weights):
+    return save_artifact(path, spec=spec, weights=weights, item_ids=list(range(100, 100 + spec.num_items)))
 
 
 class TestCheckpointAtomicity:
-    """Regression: ``save_checkpoint`` must never destroy the previous file."""
+    """Regression: ``save_artifact`` must never destroy the previous file."""
 
-    def test_crash_mid_save_keeps_previous_checkpoint(self, tmp_path):
+    @pytest.fixture
+    def spec(self):
+        from repro.registry import spec_for
+
+        return spec_for("STAMP", num_items=6, num_ops=3, dim=4)
+
+    def test_crash_mid_save_keeps_previous_checkpoint(self, tmp_path, spec):
         path = tmp_path / "model.npz"
-        good = _Tiny(scale=1.0)
-        save_checkpoint(good, path)
+        good = _weights(spec, 1.0)
+        _save(path, spec, good)
 
         rel.arm("serialization.mid_write", rel.crashing())
         with pytest.raises(rel.SimulatedCrash):
-            save_checkpoint(_Tiny(scale=99.0), path)
+            _save(path, spec, _weights(spec, 99.0))
         rel.disarm("serialization.mid_write")
 
-        restored = _Tiny(scale=0.0)
-        load_checkpoint(restored, path)
-        for name, array in good.state_dict().items():
-            assert np.array_equal(restored.state_dict()[name], array), name
+        restored = load_artifact(path).weights
+        for name, array in good.items():
+            assert np.array_equal(restored[name], array), name
         assert tmp_litter(tmp_path) == []
 
-    def test_save_then_load_roundtrip(self, tmp_path):
+    def test_save_then_load_roundtrip(self, tmp_path, spec):
         path = tmp_path / "model.npz"
-        model = _Tiny(scale=2.5)
-        save_checkpoint(model, path)
-        restored = _Tiny(scale=0.0)
-        load_checkpoint(restored, path)
-        for name, array in model.state_dict().items():
-            assert np.array_equal(restored.state_dict()[name], array), name
+        weights = _weights(spec, 2.5)
+        _save(path, spec, weights)
+        restored = load_artifact(path).build_module().state_dict()
+        for name, array in weights.items():
+            assert np.array_equal(restored[name], array), name

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.data.preprocess import ItemVocab, PreparedDataset
+from repro.data.preprocess import ItemVocab
 from repro.data.schema import MacroSession, OperationVocab
 from repro.serving import (
     AdmissionController,
@@ -13,6 +13,8 @@ from repro.serving import (
     QueueFullError,
 )
 
+from ..data.prepare_oracle import ObjectDataset, pack
+
 
 @pytest.fixture
 def tiny_dataset():
@@ -22,7 +24,7 @@ def tiny_dataset():
         MacroSession([2], [[0]], target=2),
         MacroSession([3], [[0]], target=1),
     ]
-    return PreparedDataset("tiny", train, [], [], vocab, OperationVocab(["click"]))
+    return pack(ObjectDataset("tiny", train, [], [], vocab, OperationVocab(["click"])))
 
 
 class FastService:

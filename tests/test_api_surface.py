@@ -114,7 +114,7 @@ def test_object_batch_path_stays_deleted():
     import dataclasses
 
     from repro.data.dataset import DataLoader
-    from repro.data.packed import PackedDataset, PackedSplit
+    from repro.data.packed import PackedSplit, PreparedDataset
     from repro.eval import ExperimentConfig, TrainConfig
 
     for names in (
@@ -124,7 +124,33 @@ def test_object_batch_path_stays_deleted():
         assert not names & {"packed", "prefetch"}
     assert "prefetch" not in inspect.signature(DataLoader.__init__).parameters
     assert not hasattr(PackedSplit, "__packed_split__")
-    assert not hasattr(PackedDataset, "__packed_dataset__")
+    assert not hasattr(PreparedDataset, "__packed_dataset__")
+
+
+def test_one_file_per_kind_stays_deleted():
+    """One in-memory dataset, one dataset file (.rpk), one model file (the
+    artifact): the object-list dataset, its JSON file and bare-parameter
+    checkpoints have no reader or writer left."""
+    import repro.artifacts
+    import repro.data
+    import repro.data.io
+    import repro.data.packed
+    import repro.nn
+    from repro.eval import Recommender
+
+    gone = {
+        repro.data: ("PackedDataset", "pack_dataset", "save_prepared_dataset", "load_prepared_dataset"),
+        repro.data.io: ("save_prepared_dataset", "load_prepared_dataset"),
+        repro.data.packed: ("PackedDataset", "pack_dataset", "is_packed_file"),
+        repro.nn: ("save_checkpoint", "load_checkpoint"),
+        repro.artifacts: ("try_load_artifact",),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert importlib.util.find_spec("repro.nn.serialization") is None
+    assert not hasattr(repro.data.PreparedDataset, "to_prepared")
+    assert not hasattr(Recommender, "load")
 
 
 def test_no_accidental_torch_dependency():

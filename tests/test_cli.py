@@ -12,7 +12,7 @@ def pipeline_files(tmp_path_factory):
     """Run generate -> prepare once; later tests reuse the artifacts."""
     root = tmp_path_factory.mktemp("cli")
     sessions = root / "sessions.jsonl"
-    dataset = root / "dataset.json"
+    dataset = root / "dataset.rpk"
     assert main([
         "generate", "--config", "jd-appliances", "--sessions", "250",
         "--seed", "5", "--out", str(sessions),
@@ -136,14 +136,16 @@ class TestPipeline:
         assert dataset.exists() and dataset.stat().st_size > 0
 
     def test_train_with_checkpoint(self, pipeline_files, capsys):
+        """The artifact is the saved model; its training state sits next to it."""
         root, _sessions, dataset = pipeline_files
         ckpt = root / "model.npz"
         code = main([
             "train", "--dataset", str(dataset), "--model", "STAMP",
-            "--dim", "8", "--epochs", "1", "--checkpoint", str(ckpt),
+            "--dim", "8", "--epochs", "1", "--artifact", str(ckpt),
         ])
         assert code == 0
         assert ckpt.exists()
+        assert (root / "model.npz.state.npz").exists()
         out = capsys.readouterr().out
         assert "test metrics" in out
 
@@ -152,12 +154,9 @@ class TestPipeline:
         ckpt = root / "model2.npz"
         main([
             "train", "--dataset", str(dataset), "--model", "STAMP",
-            "--dim", "8", "--epochs", "1", "--checkpoint", str(ckpt),
+            "--dim", "8", "--epochs", "1", "--artifact", str(ckpt),
         ])
-        code = main([
-            "evaluate", "--dataset", str(dataset), "--model", "STAMP",
-            "--dim", "8", "--checkpoint", str(ckpt),
-        ])
+        code = main(["evaluate", "--dataset", str(dataset), "--artifact", str(ckpt)])
         assert code == 0
         assert "H@20" in capsys.readouterr().out
 
@@ -165,9 +164,11 @@ class TestPipeline:
         root, _sessions, dataset = pipeline_files
         code = main([
             "train", "--dataset", str(dataset), "--model", "S-POP",
-            "--checkpoint", str(root / "nope.npz"),
+            "--artifact", str(root / "nope.npz"),
         ])
         assert code == 1
+        assert "no parameters to persist" in capsys.readouterr().err
+        assert not (root / "nope.npz").exists()
 
     @pytest.mark.slow
     def test_serve_smoke(self, capsys):

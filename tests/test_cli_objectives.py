@@ -9,7 +9,7 @@ from repro.cli import build_parser, main
 def pipeline_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_obj")
     sessions = root / "sessions.jsonl"
-    dataset = root / "dataset.json"
+    dataset = root / "dataset.rpk"
     assert main([
         "generate", "--config", "jd-appliances", "--sessions", "250",
         "--seed", "5", "--out", str(sessions),

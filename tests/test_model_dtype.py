@@ -49,8 +49,8 @@ def test_cli_dtype_flags_default_to_the_constant(command):
 
 
 def test_cli_runner_without_a_dtype_flag_uses_the_constant(monkeypatch):
-    monkeypatch.setattr(cli, "_load_dataset", lambda path: None)
-    # `evaluate` has no --dtype flag: the runner falls back to the constant.
+    monkeypatch.setattr(cli, "load_packed", lambda path: None)
+    # A caller with no --dtype flag: the runner falls back to the constant.
     runner = cli._runner(argparse.Namespace(dataset="d.json", dim=8, seed=0))
     assert runner.config.dtype == MODEL_DTYPE
 
