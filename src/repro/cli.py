@@ -405,8 +405,8 @@ def _cmd_data(args) -> int:
     from .data.packed import read_packed_header
 
     try:
-        header = read_packed_header(args.input)
-    except (OSError, ValueError) as error:
+        header = read_packed_header(args.input)  # names the file when it is no .rpk
+    except OSError as error:
         print(f"cannot inspect {args.input}: {error}", file=sys.stderr)
         return 1
     size = pathlib.Path(args.input).stat().st_size

@@ -135,6 +135,10 @@ class TestModule:
         a = nn.Linear(3, 3, rng=rng)
         with pytest.raises(KeyError):
             a.load_state_dict({})
+        with pytest.raises(KeyError):
+            nn.GRUCell(3, 3, rng=rng).load_state_dict(a.state_dict())
+        with pytest.raises(ValueError):
+            nn.Linear(4, 3, rng=rng).load_state_dict(a.state_dict())
 
     def test_num_parameters(self, rng):
         assert nn.Linear(3, 4, rng=rng).num_parameters() == 3 * 4 + 4

@@ -128,21 +128,24 @@ class TestPack:
     def test_inspect_rejects_non_packed(self, artifacts, capsys):
         _, _, old_json, _ = artifacts
         assert main(["data", "inspect", str(old_json)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert str(old_json) in err and "re-run `repro prepare`" in err
+        assert main(["data", "inspect", str(old_json.parent / "missing.rpk")]) == 1
         assert "cannot inspect" in capsys.readouterr().err
 
 
 class TestTrain:
     def test_train_from_rpk_file(self, artifacts, capsys):
-        """``--dataset x.rpk`` is sniffed and loaded as packed."""
+        """``--dataset`` takes the ``.rpk`` file ``repro prepare`` wrote."""
         _, _, _, packed_path = artifacts
         assert main([
             "train", "--dataset", str(packed_path), "--model", "SKNN",
         ]) == 0
         assert "SKNN" in capsys.readouterr().out
 
-
     def test_evaluate_artifact_against_packed_dataset(self, artifacts, tmp_path, capsys):
-        """``evaluate --artifact`` sniffs a ``.rpk`` dataset like ``train`` does."""
+        """``evaluate --artifact`` scores the test split of a ``.rpk`` dataset."""
         _, _, _, packed_path = artifacts
         artifact = tmp_path / "model.npz"
         assert main([
