@@ -33,7 +33,8 @@ def test_fig7_case_study(runners, datasets, benchmark):
         iterations=1,
     )
 
-    if example is None:
+    fallback = example is None
+    if fallback:
         if FAST:
             pytest.skip("no flip-case at smoke scale")
         example = dataset.test[0]
@@ -50,7 +51,7 @@ def test_fig7_case_study(runners, datasets, benchmark):
     ]
     print(render_table(["model", "top-5", "target rank", "hit@5"], rows))
 
-    if not FAST and example is not dataset.test[0]:
+    if not FAST and not fallback:
         by_model = {r.model: r for r in run_case_study(example, systems, k=5)}
         # The defining property of the paper's case: micro-behavior
         # awareness flips a top-5 miss into a hit.

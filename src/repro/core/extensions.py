@@ -16,9 +16,12 @@ implemented here so the library covers the paper's full roadmap:
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from ..autograd import Tensor
+from ..data.packed import PackedSplit
 from ..data.schema import MacroSession
 from ..nn import Embedding, Module
 from ..nn.module import Parameter
@@ -95,15 +98,16 @@ def build_embsr_weighted_ops(config: EMBSRConfig) -> WeightedOpEMBSR:
 
 
 def filter_operations(
-    examples: list[MacroSession],
+    examples: Sequence[MacroSession],
     drop_ops: set[int],
-) -> list[MacroSession]:
+) -> PackedSplit:
     """Remove the given operation ids from every example's op sequences.
 
     A macro step that loses all of its operations keeps a single
     placeholder (its original first operation) so the step itself — and
     therefore the item transition structure — survives; the paper's
-    filtering idea targets operations, not items.
+    filtering idea targets operations, not items. The result is a split,
+    so it can replace one in a :class:`~repro.data.PreparedDataset`.
     """
     out = []
     for ex in examples:
@@ -111,9 +115,5 @@ def filter_operations(
         for ops in ex.op_sequences:
             kept = [o for o in ops if o not in drop_ops]
             op_seqs.append(kept if kept else [ops[0]])
-        out.append(
-            MacroSession(
-                list(ex.macro_items), op_seqs, target=ex.target, session_id=ex.session_id
-            )
-        )
-    return out
+        out.append(MacroSession(ex.macro_items, op_seqs, target=ex.target, session_id=ex.session_id))
+    return PackedSplit.from_examples(out)

@@ -149,7 +149,7 @@ class PackedSplit:
 
     def nbytes(self) -> int:
         """Bytes of this split's six columns as :meth:`columns` returns them."""
-        return 8 * (3 * len(self) + 2 * self.num_macro_steps + self.num_micro_ops + 2)
+        return sum(column.nbytes for column in self.columns().values())
 
     def columns(self) -> dict[str, np.ndarray]:
         """The six columns with offsets from 0: the arrays a file stores."""
@@ -209,7 +209,7 @@ class PackedSplit:
             self.targets[start:stop],
             self.session_ids[start:stop],
         )
-        view._op_lengths = self._op_lengths
+        view._op_lengths = self.op_lengths
         return view
 
     def __iter__(self) -> Iterator[MacroSession]:

@@ -15,10 +15,10 @@ by one in the batching layer (see ``repro.data.dataset``).
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .ingest import pack_chunks, session_chunks
-from .packed import PreparedDataset
+from .packed import PackedSplit, PreparedDataset
 from .schema import MacroSession, OperationVocab, Session
 
 __all__ = [
@@ -129,17 +129,18 @@ def augment_prefixes(examples: list[MacroSession]) -> list[MacroSession]:
 
 
 def single_operation_view(
-    examples: list[MacroSession],
+    examples: Sequence[MacroSession],
     operations: OperationVocab,
     keep_ops: set[int],
-) -> list[MacroSession]:
+) -> PackedSplit:
     """Restrict each example to macro steps that contain a kept operation.
 
     This implements the supplemental-material experiment (Supp. Table I):
     macro-behavior baselines see only "click-like" events, while the ground
     truth of each sequence is kept identical for a fair comparison. Examples
     whose filtered input would be empty keep their last macro step so the
-    session remains usable.
+    session remains usable. The result is a split, so it can replace one in
+    a :class:`PreparedDataset`.
     """
     view: list[MacroSession] = []
     for ex in examples:
@@ -151,4 +152,4 @@ def single_operation_view(
         items = [ex.macro_items[i] for i in kept_idx]
         op_seqs = [[o for o in ex.op_sequences[i] if o in keep_ops] or list(ex.op_sequences[i]) for i in kept_idx]
         view.append(MacroSession(items, op_seqs, target=ex.target, session_id=ex.session_id))
-    return view
+    return PackedSplit.from_examples(view)

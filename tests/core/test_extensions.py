@@ -1,5 +1,7 @@
 """Tests for the future-work extensions (op importance, op filtering)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from repro.core import (
     build_embsr_weighted_ops,
     filter_operations,
 )
-from repro.data import MacroSession, collate
+from repro.data import MacroSession, collate, generate_dataset, jd_appliances_config, prepare_dataset
+from repro.data.packed import PackedSplit
+from repro.eval import ExperimentConfig, ExperimentRunner
 
 
 @pytest.fixture
@@ -110,3 +114,15 @@ class TestFilterOperations:
         ex = MacroSession([1], [[0, 1]], target=5)
         filter_operations([ex], drop_ops={1})
         assert ex.op_sequences == [[0, 1]]
+
+    def test_filtered_splits_train_embsr(self):
+        # The op-weighting extension retrains EMBSR on every split filtered.
+        cfg = jd_appliances_config()
+        dataset = prepare_dataset(generate_dataset(cfg, 200, seed=3), cfg.operations, min_support=2)
+        filtered = dataclasses.replace(dataset, **{
+            name: filter_operations(split, drop_ops={1}) for name, split in dataset.splits().items()
+        })
+        assert all(isinstance(split, PackedSplit) for split in filtered.splits().values())
+        assert filtered.fingerprint != dataset.fingerprint
+        metrics = ExperimentRunner(filtered, ExperimentConfig(dim=8, epochs=1, seed=0)).run("EMBSR").metrics
+        assert np.isfinite(list(metrics.values())).all()

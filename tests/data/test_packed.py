@@ -212,6 +212,7 @@ def test_slice_is_a_view(dataset, bounds):
     for name in ("macro_items", "op_offsets", "op_ids"):
         assert getattr(piece, name) is getattr(split, name)
     assert np.shares_memory(piece.session_offsets, split.session_offsets)
+    assert piece.op_lengths is split.op_lengths  # derived once, by the parent
     assert len(piece) == len(expected)
     assert as_tuples(piece) == as_tuples(expected)
     assert piece.num_macro_steps == sum(len(ex) for ex in expected)

@@ -1,5 +1,7 @@
 """Unit tests for preprocessing: filtering, splitting, vocab, views."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from repro.data import (
     prepare_dataset,
     single_operation_view,
 )
+from repro.data.packed import PackedSplit
+from repro.eval import ExperimentConfig, ExperimentRunner
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +122,14 @@ class TestSingleOperationView:
         view = single_operation_view([ex], JD_OPERATIONS, keep_ops={0})
         assert view[0].macro_items == [2]
         assert view[0].op_sequences == [[5]]
+
+    def test_view_replaces_splits_a_neural_model_trains_on(self, dataset):
+        # Supp. Table I swaps every split of a prepared dataset for its view.
+        view = dataclasses.replace(dataset, **{
+            name: single_operation_view(split, dataset.operations, keep_ops={0})
+            for name, split in dataset.splits().items()
+        })
+        assert all(isinstance(split, PackedSplit) for split in view.splits().values())
+        assert view.fingerprint != dataset.fingerprint
+        metrics = ExperimentRunner(view, ExperimentConfig(dim=8, epochs=1, seed=0)).run("STAMP").metrics
+        assert np.isfinite(list(metrics.values())).all()
