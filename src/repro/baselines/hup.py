@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, concat
+from ..core.op_encoder import encode_op_sequences
 from ..data.dataset import SessionBatch
 from ..nn import GRU, Dropout, Embedding, Linear, Module
 from ..nn.init import scaled_uniform
@@ -42,11 +43,10 @@ class HUP(Module):
 
     def encode_sessions(self, batch: SessionBatch) -> Tensor:
         """[B, d] session representations (the scoring-head queries)."""
-        B, n, k = batch.ops.shape
         # Micro level: encode each macro step's operation sequence.
-        ops = self.op_embedding(batch.ops.reshape(B * n, k))
-        _, op_summary = self.micro_gru(ops, mask=batch.op_mask.reshape(B * n, k))
-        op_summary = op_summary.reshape(B, n, self.dim)
+        op_summary = encode_op_sequences(
+            self.op_embedding, self.micro_gru, batch.ops, batch.op_mask
+        )
 
         items = self.dropout(self.item_embedding(batch.items))
         fused = self.fuse(concat([items, op_summary], axis=2)).tanh()

@@ -380,8 +380,16 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
+def _load_dataset(path: str):
+    """``load_packed``, with a missing or unreadable file as one named line."""
+    try:
+        return load_packed(path)
+    except OSError as error:
+        raise DatasetFormatError(f"cannot read dataset {path}: {error.strerror or error}") from None
+
+
 def _runner(args, epochs: int | None = None) -> ExperimentRunner:
-    dataset = load_packed(args.dataset)
+    dataset = _load_dataset(args.dataset)
     config = ExperimentConfig(
         dim=args.dim,
         epochs=epochs if epochs is not None else getattr(args, "epochs", 10),
@@ -453,8 +461,10 @@ def _cmd_train(args) -> int:
     result = runner.run(args.model, verbose=True)
     pretty = ", ".join(f"{k}={v:.2f}" for k, v in result.metrics.items())
     print(f"{args.model} test metrics: {pretty}")
-    if getattr(args, "train_state_path", None):
-        print(f"training state saved to {args.train_state_path}")
+    # A non-parametric model has no trainer, so no state is written.
+    state_path = getattr(args, "train_state_path", None)
+    if state_path and pathlib.Path(state_path).exists():
+        print(f"training state saved to {state_path}")
     if args.artifact:
         recommender = result.recommender
         if not isinstance(recommender, NeuralRecommender):
@@ -471,7 +481,7 @@ def _cmd_evaluate(args) -> int:
 
     # The bundle carries model name, dims, and weights; the dataset only
     # supplies the test examples to score.
-    dataset = load_packed(args.dataset)
+    dataset = _load_dataset(args.dataset)
     recommender = NeuralRecommender.from_artifact(args.artifact)
     print(f"loaded {recommender.name} from {args.artifact}")
     scores, targets = recommender.trainer.predict(dataset.test)

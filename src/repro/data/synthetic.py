@@ -29,6 +29,7 @@ measure:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,10 +120,57 @@ def _drifter_persona(personas: list[Persona]) -> Persona:
     )
 
 
-def _normalize(probs: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    keys = np.array(sorted(probs))
-    values = np.array([probs[k] for k in keys], dtype=float)
-    return keys, values / values.sum()
+class _Categorical:
+    """A fixed distribution over ``values``, validated once, drawn many times.
+
+    :meth:`draw` consumes one ``rng.random()`` and returns what
+    ``rng.choice(values, p=weights / weights.sum())`` returns for one draw
+    from the same stream: ``Generator.choice`` builds the same normalised
+    CDF and calls ``cdf.searchsorted(u, side="right")``, and
+    ``bisect_right`` over the CDF's floats is that search without a NumPy
+    call per draw. The CDF is built and ``p`` checked once, not per draw
+    (``tests/data/test_synthetic_sampler.py`` holds ``rng.choice`` as
+    the oracle).
+    """
+
+    __slots__ = ("values", "cdf")
+
+    def __init__(self, values, weights):
+        values = np.asarray(values)
+        weights = np.asarray(weights, dtype=float)
+        if values.ndim != 1 or len(values) == 0 or weights.shape != values.shape:
+            raise ValueError(
+                f"need one weight per value and at least one value, got "
+                f"{values.shape} values and {weights.shape} weights"
+            )
+        with np.errstate(invalid="ignore", divide="ignore"):
+            p = weights / weights.sum()
+        if not (np.isfinite(p).all() and (p >= 0).all()):
+            raise ValueError(f"weights must be non-negative with a positive sum, got {weights}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        self.values = values.tolist()
+        self.cdf = cdf.tolist()
+
+    @classmethod
+    def of(cls, probs: dict[int, float]) -> "_Categorical":
+        keys = sorted(probs)
+        return cls(keys, [probs[k] for k in keys])
+
+    def draw(self, rng: np.random.Generator) -> int:
+        return self.values[bisect_right(self.cdf, rng.random())]
+
+
+class _OpChain:
+    """A persona's operation distributions: entry and per-operation transitions."""
+
+    __slots__ = ("entry", "transition")
+
+    def __init__(self, persona: Persona):
+        self.entry = _Categorical.of(persona.entry_probs)
+        self.transition = {
+            op: _Categorical.of(row) for op, row in persona.transition.items() if row
+        }
 
 
 class SyntheticSessionGenerator:
@@ -132,6 +180,11 @@ class SyntheticSessionGenerator:
         self.config = config
         self.rng = np.random.default_rng(seed)
         self._drifter = _drifter_persona(config.personas)  # consumes no RNG
+        # Every distribution is built once here (none consumes RNG); a
+        # persona's chain is keyed by the object, which the config keeps.
+        self._chains = {
+            id(persona): _OpChain(persona) for persona in [*config.personas, self._drifter]
+        }
         self._build_catalogue()
         self._build_target_pools()
 
@@ -147,8 +200,7 @@ class SyntheticSessionGenerator:
         self._category_pop = []
         for members in self.items_in_category:
             ranks = np.arange(1, len(members) + 1, dtype=float)
-            weights = ranks ** (-cfg.zipf_exponent)
-            self._category_pop.append(weights / weights.sum())
+            self._category_pop.append(_Categorical(members, ranks ** (-cfg.zipf_exponent)))
 
     def _build_target_pools(self) -> None:
         """Assign each (category, persona) a preferred pool of next items.
@@ -169,38 +221,41 @@ class SyntheticSessionGenerator:
                 start = p * pool_size
                 self.target_pool[(c, p)] = members[start : start + pool_size]
         ranks = np.arange(1, max(len(v) for v in self.target_pool.values()) + 1, dtype=float)
-        self._pool_weights = ranks ** (-cfg.pool_zipf_exponent)
+        weights = ranks ** (-cfg.pool_zipf_exponent)
+        # Rank-position draws, one per pool length (the exploration regime
+        # draws from pools with their seen items removed).
+        self._pool_ranks = {
+            length: _Categorical(np.arange(length), weights[:length])
+            for length in range(1, len(ranks) + 1)
+        }
 
     def _sample_from_pool(self, pool: np.ndarray) -> int:
         """Zipf-weighted draw so pools are learnable from few sessions."""
-        weights = self._pool_weights[: len(pool)]
-        return int(self.rng.choice(pool, p=weights / weights.sum()))
+        return int(pool[self._pool_ranks[len(pool)].draw(self.rng)])
 
     # ------------------------------------------------------------------
     def _sample_macro_length(self) -> int:
         cfg = self.config
         length = int(self.rng.geometric(1.0 / cfg.mean_macro_len))
-        return int(np.clip(length, cfg.min_macro_len, cfg.max_macro_len))
+        return min(max(length, cfg.min_macro_len), cfg.max_macro_len)
 
     def _sample_item(self, category: int, exclude: int | None = None) -> int:
-        members = self.items_in_category[category]
-        probs = self._category_pop[category]
-        item = int(self.rng.choice(members, p=probs))
-        if exclude is not None and item == exclude and len(members) > 1:
-            item = int(self.rng.choice(members, p=probs))
+        popularity = self._category_pop[category]
+        item = popularity.draw(self.rng)
+        if exclude is not None and item == exclude and len(popularity.values) > 1:
+            item = popularity.draw(self.rng)
         return item
 
     def _sample_ops(self, persona: Persona) -> list[int]:
-        keys, values = _normalize(persona.entry_probs)
-        ops = [int(self.rng.choice(keys, p=values))]
+        chain = self._chains[id(persona)]
+        ops = [chain.entry.draw(self.rng)]
         while len(ops) < persona.max_ops_per_item:
             if self.rng.random() < persona.stop_prob:
                 break
-            row = persona.transition.get(ops[-1])
-            if not row:
+            row = chain.transition.get(ops[-1])
+            if row is None:
                 break
-            keys, values = _normalize(row)
-            ops.append(int(self.rng.choice(keys, p=values)))
+            ops.append(row.draw(self.rng))
         return ops
 
     def _strongest_item(self, items: list[int], op_lists: list[list[int]]) -> int:
@@ -241,7 +296,8 @@ class SyntheticSessionGenerator:
         pool = self.target_pool[(category, persona_id)]
         if cfg.repeat_prob == 0.0:
             # Exploration regime: prefer unseen items (trivago-like).
-            unseen = np.array([i for i in pool if i not in set(items)])
+            seen = set(items)
+            unseen = np.array([i for i in pool if i not in seen])
             if len(unseen):
                 return self._sample_from_pool(unseen)
         return self._sample_from_pool(pool)

@@ -14,6 +14,11 @@ Two contracts:
   ``z_s`` that Eq. 18 reads: its GEMMs lost their other T - 1 rows, which
   moves roundoff, and its dropout draws a [B, d] mask instead of
   [B, T, d]. ``tests/perf/test_fused_parity.py`` holds the full-row block
+  as that change's oracle. They were re-pinned again when the micro-op
+  GRU (Eqs. 3-4) began running once per distinct operation sequence
+  instead of once per [B·n, k] row: its GEMM heights and the gradient
+  summation order changed, roundoff only.
+  ``tests/perf/test_op_encoder_distinct.py`` holds the padded composition
   as that change's oracle.
 * **InfoNCE parity.** The contrastive objective is shard-compatible:
   serial-grid and N-worker training are bitwise equal.
@@ -27,8 +32,8 @@ import pytest
 from repro.eval import ExperimentConfig, ExperimentRunner
 
 GOLDEN = {
-    ("EMBSR", "eager"): "9d7740ccd9b8a659b4553d1e5badffc214830b32b6da921f6559c34eedb77c76",
-    ("EMBSR", "workers2"): "d81714043b6df386b56b858e612143f561d2943f166e6586994745bb44615124",
+    ("EMBSR", "eager"): "60a7bbed5a3c13b6a9db045a1a83e262cb82d4c741264b0de18a1164834a19bc",
+    ("EMBSR", "workers2"): "76b8a9781803acc436f01170f56d55428ce9db98771db863b0348c847e4e3b9e",
     ("NARM", "eager"): "12433f74a3718ec6a1f50dbf57d619e7658c05be9e2e180d14d9dded59178aec",
     ("NARM", "workers2"): "032a8feada6038f98d28caef848faeeb7d545d23e49d7d8a02af81df91300bed",
 }
@@ -36,8 +41,8 @@ GOLDEN = {
 # default: same runs as above, with the float32 embedding scatter rounding
 # each row's float64 sum once.
 GOLDEN_FLOAT32 = {
-    ("EMBSR", "eager"): "c8ac19d844a312a2f3ea89bc583e5cf18b7e043af78db4d9c90c2740bcf2888f",
-    ("EMBSR", "workers2"): "bc50f3080977f5367191fb1deace7cf7f1735351a1858d80944caafeb37a9395",
+    ("EMBSR", "eager"): "f03417723a1592f037e8f01af107cfe8ecd53f1c66ba95044238eca6835f5a8d",
+    ("EMBSR", "workers2"): "3f10fd08d66a540a35e094421edc4b1b6ac92f919ab1fc90f90a55e2c58dec2b",
     ("NARM", "eager"): "8101b9cae9082290a9d7cd093b2184918ba1ddeb5b1eb2b9edeae0ff4b0e7b7f",
     ("NARM", "workers2"): "38c5086f59ccb6363100e9055fe273170e4a1df040f5734d3e5ff2198442fbc1",
 }

@@ -157,6 +157,26 @@ class TestTrain:
         out = capsys.readouterr().out
         assert "loaded STAMP" in out and "M@20" in out
 
+    def test_state_message_follows_the_file(self, artifacts, tmp_path, capsys):
+        """A non-parametric model writes no training state, so ``train``
+        does not claim one; a neural model's state is written and named."""
+        _, _, _, packed_path = artifacts
+        artifact = tmp_path / "pop.npz"
+        assert main([
+            "train", "--dataset", str(packed_path), "--model", "S-POP", "--artifact", str(artifact),
+        ]) == 1
+        out = capsys.readouterr().out
+        assert not (tmp_path / "pop.npz.state.npz").exists()
+        assert "training state saved" not in out
+
+        artifact = tmp_path / "stamp.npz"
+        assert main([
+            "train", "--dataset", str(packed_path), "--model", "STAMP", "--dim", "8",
+            "--epochs", "1", "--artifact", str(artifact),
+        ]) == 0
+        state = tmp_path / "stamp.npz.state.npz"
+        assert state.exists() and f"training state saved to {state}" in capsys.readouterr().out
+
 
 class TestResumeWrongFile:
     """``train --resume`` with a file that is not a current training state
@@ -245,6 +265,14 @@ class TestWrongFileKind:
         err = capsys.readouterr().err.strip()
         assert len(err.splitlines()) == 1
         assert str(sessions) in err and "expected a prepared dataset" in err
+
+    @pytest.mark.parametrize("command", DATASET_COMMANDS)
+    def test_missing_dataset_is_one_line(self, command, tmp_path, capsys):
+        missing = tmp_path / "missing.rpk"
+        assert main([*command, "--dataset", str(missing)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert f"cannot read dataset {missing}" in err and "No such file" in err
 
     @pytest.mark.parametrize("command", DATASET_COMMANDS)
     def test_old_prepared_json_is_one_line(self, command, artifacts, capsys):
